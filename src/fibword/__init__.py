@@ -6,12 +6,10 @@ and a verifier that adjudicates quantitative claims about all of these
 with exact witnesses.
 """
 
-from __future__ import annotations
-
 __version__ = "0.1.0"
 
 from .claimresult import REFUTED, VERIFIED, ClaimResult
-from .claims import ALL_CLAIM_IDS, Budgets, run_all_claims
+from .claims import ALL_CLAIM_IDS, Budgets, run_all_claims, run_claims
 from .derived import (
     DensityRow,
     density_table,
@@ -92,4 +90,19 @@ from .words import (
     ultrametric_value,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AB", "ALL_CLAIM_IDS", "AlgebraElement", "Alphabet", "BINARY", "Budgets", "ClaimResult",
+    "DensityReport", "DensityRow", "FixedPointStream", "INV_PHI", "INV_PHI_SQUARED", "Morphism",
+    "PHI", "PHI_BAR", "PHI_SQUARED", "REFUTED", "SQRT5", "Surd", "VERIFIED", "Word",
+    "ZeckendorfRep", "ab_word", "alg_add", "alg_mul", "alg_scalar", "alpha_identity_check", "apply",
+    "base_b_digits", "beatty_phi", "beatty_phi2", "binary_word", "check_pow_invariance", "concat",
+    "contains_factor", "count_ones_upto", "count_symbol", "count_zeros_upto", "density_report",
+    "density_table", "df_density", "factor_set", "fib", "fib_code_valid", "fib_m_step",
+    "fib_word_ab", "fibonacci_morphism", "fixed_point_prefix", "fraction_decimal", "is_non_erasing",
+    "is_partition_word", "is_prolongable", "isolated_one_runs", "isqrt",
+    "letter_counts_closed_form", "letter_densities", "location_set", "lucas", "max_discrepancy",
+    "mechanical_prefix", "morphic_mechanical_agree", "mortal_letters", "pow_fib", "q_word",
+    "run_all_claims", "run_claims", "surd_decimal", "surd_sign", "ultrametric_distance",
+    "ultrametric_value", "verify_beatty_partition", "y_word", "zeckendorf_decode",
+    "zeckendorf_encode",
+]

@@ -9,6 +9,7 @@ table) are kept here as data so they can be compared against, never asserted.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -646,53 +647,47 @@ def _claim_alpha_identity(alpha_max: int, scan_n: int) -> ClaimResult:
     )
 
 
+# (claim ids returned, run(budgets)); the doubling pair is one sweep.  Runs look
+# checks up by module-global name at call time, so rebinding one reaches them.
+REGISTRY = (
+    (("beatty-partition",), lambda b: verify_beatty_partition(b.sweep_n)),
+    (("morphic-mechanical-agreement",), lambda b: morphic_mechanical_agree(b.sweep_n)),
+    (("density-convergence",), lambda b: _claim_density_convergence(b.scan_n)),
+    (("discrepancy-bound",), lambda b: _claim_discrepancy_bound(b.sweep_n)),
+    (("local-no-11",), lambda b: _claim_local_no_11(b.sweep_n)),
+    (("local-three-window",), lambda b: _claim_local_three_window(b.scan_n)),
+    (("framed-density-limit",), lambda b: _claim_framed_density_limit(b.framed_m_max)),
+    (("y-length-formula",), lambda b: _claim_y_length(b.y_max)),
+    (("alpha-identity",), lambda b: _claim_alpha_identity(b.alpha_max, b.scan_n)),
+    (("pow-invariance",), lambda b: check_pow_invariance(b.pow_k_max)),
+    (("pow-value",), lambda b: _claim_pow_value()),
+    (("telescoping-identity",), lambda b: check_telescoping(b.telescope_m, b.telescope_k_max)),
+    (("doubling-fib", "doubling-lucas-form"), lambda b: doubling_identity_check(b.doubling_n_max)),
+    (("binet-formulas",), lambda b: binet_check(b.binet_n)),
+    (("generating-function",), lambda b: genfunc_check(b.genfunc_n)),
+    (("ball-nesting",), lambda b: ball_nesting_check(b.ball_cases, b.ball_word_len, b.ball_seed)),
+    (("letter-counts",), lambda b: _claim_letter_counts(b.letters_max)),
+    (("df-convergence",), lambda b: _claim_df_convergence(b.df_k)),
+)
+
+ALL_CLAIM_IDS = tuple(sorted(claim_id for ids, _ in REGISTRY for claim_id in ids))
+
+
+def run_claims(ids: Iterable[str] | None, budgets: Budgets | None = None) -> list[ClaimResult]:
+    """Evaluate only the entries returning a wanted id (all if None); results in stable id order."""
+    b = budgets if budgets is not None else Budgets()
+    wanted = ALL_CLAIM_IDS if ids is None else list(ids)
+    unknown = [i for i in wanted if i not in ALL_CLAIM_IDS]
+    if unknown:
+        raise ValueError(f"unknown claim id(s): {', '.join(unknown)}")
+    results = []
+    for entry_ids, run in REGISTRY:
+        if any(i in wanted for i in entry_ids):
+            out = run(b)
+            results += [r for r in (out if isinstance(out, tuple) else (out,)) if r.id in wanted]
+    return sorted(results, key=lambda r: r.id)
+
+
 def run_all_claims(budgets: Budgets | None = None) -> list[ClaimResult]:
     """Evaluate every registered claim; results in stable id order."""
-    b = budgets if budgets is not None else Budgets()
-    doubling_fib, doubling_lucas = doubling_identity_check(b.doubling_n_max)
-    results = [
-        verify_beatty_partition(b.sweep_n),
-        morphic_mechanical_agree(b.sweep_n),
-        _claim_density_convergence(b.scan_n),
-        _claim_discrepancy_bound(b.sweep_n),
-        _claim_local_no_11(b.sweep_n),
-        _claim_local_three_window(b.scan_n),
-        _claim_framed_density_limit(b.framed_m_max),
-        _claim_y_length(b.y_max),
-        _claim_alpha_identity(b.alpha_max, b.scan_n),
-        check_pow_invariance(b.pow_k_max),
-        _claim_pow_value(),
-        check_telescoping(b.telescope_m, b.telescope_k_max),
-        doubling_fib,
-        doubling_lucas,
-        binet_check(b.binet_n),
-        genfunc_check(b.genfunc_n),
-        ball_nesting_check(b.ball_cases, b.ball_word_len, b.ball_seed),
-        _claim_letter_counts(b.letters_max),
-        _claim_df_convergence(b.df_k),
-    ]
-    results.sort(key=lambda r: r.id)
-    return results
-
-
-ALL_CLAIM_IDS = (
-    "alpha-identity",
-    "ball-nesting",
-    "beatty-partition",
-    "binet-formulas",
-    "density-convergence",
-    "df-convergence",
-    "discrepancy-bound",
-    "doubling-fib",
-    "doubling-lucas-form",
-    "framed-density-limit",
-    "generating-function",
-    "letter-counts",
-    "local-no-11",
-    "local-three-window",
-    "morphic-mechanical-agreement",
-    "pow-invariance",
-    "pow-value",
-    "telescoping-identity",
-    "y-length-formula",
-)
+    return run_claims(None, budgets)

@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import __version__
-from .claims import ALL_CLAIM_IDS, Budgets, run_all_claims
+from .claims import Budgets, run_claims
 from .derived import density_table, fib_word_ab, q_word, y_word
 from .goldenexact import beatty_phi, beatty_phi2, fraction_decimal
 from .mechanical import density_report, mechanical_prefix
@@ -165,20 +165,8 @@ def _cmd_beatty(args: argparse.Namespace) -> str:
 
 
 def _cmd_claims(args: argparse.Namespace) -> str:
-    budgets = Budgets(
-        sweep_n=args.sweep_n,
-        scan_n=args.scan_n,
-        ball_cases=args.ball_cases,
-    )
-    wanted = args.ids
-    if wanted:
-        unknown = [i for i in wanted if i not in ALL_CLAIM_IDS]
-        if unknown:
-            raise ValueError(f"unknown claim id(s): {', '.join(unknown)}")
-    results = run_all_claims(budgets)
-    if wanted:
-        results = [r for r in results if r.id in set(wanted)]
-    records = [r.record() for r in results]
+    budgets = Budgets(sweep_n=args.sweep_n, scan_n=args.scan_n, ball_cases=args.ball_cases)
+    records = [r.record() for r in run_claims(args.ids, budgets)]
     if args.format == "text":
         blocks = []
         for r in records:
@@ -239,7 +227,6 @@ def build_parser() -> _Parser:
         "--id",
         dest="ids",
         action="append",
-        default=None,
         metavar="CLAIM_ID",
         help="run only this claim (repeatable)",
     )
@@ -273,8 +260,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fibword: internal error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(output)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(output)
+        except OSError as exc:
+            print(f"fibword: error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(output)
     return 0

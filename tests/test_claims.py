@@ -13,6 +13,7 @@ from fibword.claims import (
     doubling_identity_check,
     genfunc_check,
     run_all_claims,
+    run_claims,
     telescope_terms,
 )
 from fibword.goldenexact import fib, lucas
@@ -140,6 +141,24 @@ def test_registry_deterministic():
     first = [r.record() for r in run_all_claims(budgets)]
     second = [r.record() for r in run_all_claims(budgets)]
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+SMALL_BUDGETS = Budgets(sweep_n=2_000, scan_n=1_000, ball_cases=400)
+
+
+@pytest.fixture(scope="module")
+def small_registry():
+    return {r.id: r.record() for r in run_all_claims(SMALL_BUDGETS)}
+
+
+@pytest.mark.parametrize("claim_id", ALL_CLAIM_IDS)
+def test_run_claims_single_id_matches_full_registry(claim_id, small_registry):
+    assert [r.record() for r in run_claims([claim_id], SMALL_BUDGETS)] == [small_registry[claim_id]]
+
+
+def test_run_claims_unknown_id():
+    with pytest.raises(ValueError, match="unknown claim id\\(s\\): nope"):
+        run_claims(["nope"])
 
 
 def test_refutation_witnesses_replay(all_claims):

@@ -175,6 +175,27 @@ def test_claims_csv_payload_column(capsys):
     lines = out.splitlines()
     assert lines[0] == "id,location,status,witness,payload"
     assert lines[1].startswith("doubling-lucas-form,")
+    assert len(lines) == 2  # the doubling sweep returns both ids; only the named one is kept
+
+
+def test_claims_id_evaluates_only_named_claims(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("this claim must not be evaluated")
+
+    monkeypatch.setattr("fibword.claims.ball_nesting_check", broken)
+    monkeypatch.setattr("fibword.claims.verify_beatty_partition", broken)
+    code, out, err = run_cli(capsys, "claims", "--id", "pow-value")
+    assert code == 0, err
+    assert out.startswith("pow-value: refuted\n")
+
+
+def test_claims_repeated_ids_print_once_in_id_order(capsys):
+    code, out, _ = run_cli(
+        capsys, "claims", "--id", "pow-value", "--id", "alpha-identity", "--id", "pow-value",
+        "--format", "json", "--sweep-n", "2000", "--scan-n", "1000", "--ball-cases", "200",
+    )
+    assert code == 0
+    assert [r["id"] for r in json.loads(out)["claims"]] == ["alpha-identity", "pow-value"]
 
 
 def test_claims_all_lists_whole_registry(capsys):
@@ -213,6 +234,14 @@ def test_out_flag(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "beatty", "3", "--format", "csv", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text() == "n,f1,f2\n1,1,2\n2,3,5\n3,4,7\n"
+
+
+def test_out_flag_unwritable_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, "gen", "y", "3", "--out", str(target))
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"fibword: error: cannot write {target}: ")
 
 
 def test_missing_subcommand(capsys):

@@ -26,6 +26,7 @@ from .derived import (
     letter_densities,
     q_word,
     y_word,
+    y_words,
 )
 from .freealg import alpha_identity_check, check_pow_invariance, element_from_texts, pow_fib
 from .goldenexact import (
@@ -35,7 +36,6 @@ from .goldenexact import (
     PHI_BAR,
     SQRT5,
     Surd,
-    beatty_phi2,
     fib,
     fraction_decimal,
     int_surd_sign,
@@ -46,6 +46,7 @@ from .mechanical import (
     max_discrepancy,
     mechanical_prefix,
     morphic_mechanical_agree,
+    ones_counts,
     verify_beatty_partition,
 )
 from .words import AB
@@ -366,14 +367,7 @@ def ball_nesting_check(cases: int, word_len: int, seed: int) -> ClaimResult:
 def _claim_density_convergence(scan_n: int) -> ClaimResult:
     claim_id = "density-convergence"
     location = "symbol densities of the Fibonacci word are 1/phi and 1/phi^2"
-    count1 = 0
-    m = 1
-    upcoming = beatty_phi2(1)
-    for n in range(1, scan_n + 1):
-        if n == upcoming:
-            count1 += 1
-            m += 1
-            upcoming = beatty_phi2(m)
+    for n, count1 in enumerate(ones_counts(scan_n), 1):
         if n < 2:
             continue
         # |count1/n - 1/phi^2| < 1/n  <=>  |(3c - 2n) + c*sqrt5| < 3 + sqrt5
@@ -472,17 +466,12 @@ def _claim_local_three_window(scan_n: int) -> ClaimResult:
 def _claim_y_length(y_max: int) -> ClaimResult:
     claim_id = "y-length-formula"
     location = "the n-th y-word has length F(n+2)"
-    prev, cur = "a", "ab"
-    lengths = {0: len(prev), 1: len(cur)}
-    for n in range(2, y_max + 1):
-        prev, cur = cur, cur + prev
-        lengths[n] = len(cur)
-    for n in range(y_max + 1):
-        if lengths[n] != fib(n + 2):
+    for n, text in zip(range(y_max + 1), y_words()):
+        if len(text) != fib(n + 2):
             return refuted(
                 claim_id,
                 location,
-                f"|y_{n}| = {lengths[n]} != F({n + 2}) = {fib(n + 2)}",
+                f"|y_{n}| = {len(text)} != F({n + 2}) = {fib(n + 2)}",
                 n=n,
             )
     return verified(

@@ -16,7 +16,7 @@ import sys
 from . import __version__
 from .claims import Budgets, run_claims
 from .derived import density_table, fib_word_ab, q_word, y_word
-from .goldenexact import beatty_phi, beatty_phi2, fraction_decimal
+from .goldenexact import beatty_pairs
 from .mechanical import density_report, mechanical_prefix
 from .morphism import fibonacci_morphism, fixed_point_prefix
 
@@ -78,15 +78,14 @@ def _cmd_gen(args: argparse.Namespace) -> str:
 
 def _cmd_density(args: argparse.Namespace) -> str:
     report = density_report(args.n)
-    places = args.places
-    decimals = report.decimals(places)
+    decimals = report.decimals(args.places)
     sign = report.deviation1.sign()
     if args.format == "text":
         lines = [
             f"n: {report.n}",
             f"count0: {report.count0}",
             f"count1: {report.count1}",
-            f"density0: {fraction_decimal(report.density0, places)} (= {report.density0})",
+            f"density0: {decimals['density0']} (= {report.density0})",
             f"density1: {decimals['density1']} (= {report.density1})",
             f"target1: {decimals['target1']} (= {report.target1})",
             f"deviation1: {decimals['deviation1']} (sign {sign:+d}, = {report.deviation1})",
@@ -96,7 +95,7 @@ def _cmd_density(args: argparse.Namespace) -> str:
         "n": str(report.n),
         "count0": str(report.count0),
         "count1": str(report.count1),
-        "density0": fraction_decimal(report.density0, places),
+        "density0": decimals["density0"],
         "density1": decimals["density1"],
         "target1": decimals["target1"],
         "deviation1": decimals["deviation1"],
@@ -150,7 +149,8 @@ def _cmd_beatty(args: argparse.Namespace) -> str:
     if args.n < 1:
         raise ValueError("beatty needs n >= 1")
     header = ["n", "f1", "f2"]
-    rows = [[str(n), str(beatty_phi(n)), str(beatty_phi2(n))] for n in range(1, args.n + 1)]
+    pairs = zip(range(1, args.n + 1), beatty_pairs())
+    rows = [[str(n), str(f1), str(f2)] for n, (f1, f2) in pairs]
     if args.format == "csv":
         return _csv_text(header, rows)
     if args.format == "text":

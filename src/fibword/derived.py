@@ -16,8 +16,10 @@ Letter counts follow Fibonacci closed forms in classical indexing
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .goldenexact import fib, fraction_decimal
 from .words import AB, Word
@@ -28,16 +30,20 @@ FAMILY_FIBAB = "fibab"
 FAMILIES = (FAMILY_Y, FAMILY_Q, FAMILY_FIBAB)
 
 
+def y_words() -> Iterator[str]:
+    """The texts y_0 = a, y_1 = ab, y_n = y_{n-1} y_{n-2}, ... without end."""
+    prev, cur = "a", "ab"
+    yield prev
+    while True:
+        yield cur
+        prev, cur = cur, cur + prev
+
+
 def y_word(n: int) -> Word:
     """y_0 = a, y_1 = ab, y_n = y_{n-1} y_{n-2}; |y_n| = F(n+2)."""
     if n < 0:
         raise ValueError("y-word index must be >= 0")
-    prev, cur = "a", "ab"
-    if n == 0:
-        return Word(AB, prev)
-    for _ in range(n - 1):
-        prev, cur = cur, cur + prev
-    return Word(AB, cur)
+    return Word(AB, next(islice(y_words(), n, None)))
 
 
 def q_word(m: int) -> Word:

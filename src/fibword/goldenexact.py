@@ -6,21 +6,20 @@ decimal strings are produced by digit extraction from exact values.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .words import Word
 
 RationalLike = Union[int, Fraction]
 
 
-def isqrt(n: int) -> int:
-    """Floor of the square root, exact for arbitrary size."""
-    if n < 0:
-        raise ValueError("isqrt of a negative integer")
-    return math.isqrt(n)
+# Floor of the square root, exact for arbitrary size; ValueError below zero.
+isqrt = math.isqrt
 
 
 def _lcm(a: int, b: int) -> int:
@@ -47,6 +46,20 @@ def int_surd_sign(p: int, q: int) -> int:
     return (rhs > lhs) - (rhs < lhs)
 
 
+def _surd_operand(method):
+    """Operator decorator: an int or Fraction operand becomes a Surd, anything else NotImplemented."""
+
+    @functools.wraps(method)
+    def coerced(self, other):
+        if not isinstance(other, Surd):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Surd.from_rational(other)
+        return method(self, other)
+
+    return coerced
+
+
 @dataclass(frozen=True)
 class Surd:
     """Exact element a + b*sqrt(5) with rational a, b.
@@ -67,20 +80,10 @@ class Surd:
     def from_rational(x: RationalLike) -> "Surd":
         return Surd(Fraction(x), Fraction(0))
 
-    @staticmethod
-    def _coerce(x: "Surd | RationalLike") -> "Surd":
-        if isinstance(x, Surd):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Surd.from_rational(x)
-        return NotImplemented  # type: ignore[return-value]
-
     # -- field operations ---------------------------------------------------
 
-    def __add__(self, other):
-        o = Surd._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_surd_operand
+    def __add__(self, o):
         return Surd(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
@@ -88,22 +91,16 @@ class Surd:
     def __neg__(self) -> "Surd":
         return Surd(-self.a, -self.b)
 
-    def __sub__(self, other):
-        o = Surd._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_surd_operand
+    def __sub__(self, o):
         return Surd(self.a - o.a, self.b - o.b)
 
-    def __rsub__(self, other):
-        o = Surd._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_surd_operand
+    def __rsub__(self, o):
         return o - self
 
-    def __mul__(self, other):
-        o = Surd._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_surd_operand
+    def __mul__(self, o):
         return Surd(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
@@ -114,16 +111,12 @@ class Surd:
             raise ZeroDivisionError("surd division by zero")
         return Surd(self.a / norm, -self.b / norm)
 
-    def __truediv__(self, other):
-        o = Surd._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_surd_operand
+    def __truediv__(self, o):
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = Surd._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_surd_operand
+    def __rtruediv__(self, o):
         return o * self.inverse()
 
     def __pow__(self, exponent: int) -> "Surd":
@@ -144,46 +137,27 @@ class Surd:
     # -- order --------------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign, decided by rational comparisons only."""
+        """Exact sign, by integer comparisons: scaling by both denominators (> 0) keeps it."""
         a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs, rhs = a * a, 5 * b * b
-        if a > 0:  # b < 0
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        return int_surd_sign(a.numerator * b.denominator, b.numerator * a.denominator)
 
     def __abs__(self) -> "Surd":
         return -self if self.sign() < 0 else self
 
-    def __lt__(self, other):
-        o = Surd._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_surd_operand
+    def __lt__(self, o):
         return (self - o).sign() < 0
 
-    def __le__(self, other):
-        o = Surd._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_surd_operand
+    def __le__(self, o):
         return (self - o).sign() <= 0
 
-    def __gt__(self, other):
-        o = Surd._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_surd_operand
+    def __gt__(self, o):
         return (self - o).sign() > 0
 
-    def __ge__(self, other):
-        o = Surd._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
+    @_surd_operand
+    def __ge__(self, o):
         return (self - o).sign() >= 0
 
     # -- conversions ----------------------------------------------------------
@@ -216,8 +190,7 @@ class Surd:
         return f"({self.a}) + ({self.b})*sqrt5"
 
 
-def surd_sign(s: Surd) -> int:
-    return s.sign()
+surd_sign = Surd.sign
 
 
 SQRT5 = Surd(Fraction(0), Fraction(1))
@@ -243,6 +216,13 @@ def beatty_phi2(n: int) -> int:
     if n < 1:
         raise ValueError("Beatty index must be >= 1")
     return n + beatty_phi(n)
+
+
+def beatty_pairs() -> Iterator[tuple[int, int]]:
+    """(floor(m*phi), floor(m*phi^2)) for m = 1, 2, ...; both from one beatty_phi call."""
+    for m in itertools.count(1):
+        low = beatty_phi(m)
+        yield low, low + m
 
 
 # -- Fibonacci and Lucas numbers ----------------------------------------------
@@ -411,6 +391,16 @@ def base_b_digits(x: Fraction, b: int, count: int) -> list[int]:
 # -- decimal rendering (exact digit extraction) ----------------------------------
 
 
+def _fixed_point(sign: str, q: int, places: int) -> str:
+    """Render q * 10^-places with `places` digits after the point, prefixed by sign."""
+    if q == 0:
+        sign = ""
+    digits = str(q).rjust(places + 1, "0")
+    if places == 0:
+        return sign + digits
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
 def fraction_decimal(x: RationalLike, places: int = 6) -> str:
     """Fixed-point decimal string, round-half-even, from an exact rational."""
     if places < 0:
@@ -422,12 +412,7 @@ def fraction_decimal(x: RationalLike, places: int = 6) -> str:
     q, r = divmod(scaled, den)
     if 2 * r > den or (2 * r == den and q % 2 == 1):
         q += 1
-    if q == 0:
-        sign = ""
-    digits = str(q).rjust(places + 1, "0")
-    if places == 0:
-        return sign + digits
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    return _fixed_point(sign, q, places)
 
 
 def surd_decimal(s: Surd, places: int = 6) -> str:
@@ -445,9 +430,4 @@ def surd_decimal(s: Surd, places: int = 6) -> str:
     q = scaled.floor()
     if (scaled - q - Fraction(1, 2)).sign() > 0:
         q += 1
-    if q == 0:
-        sign = ""
-    digits = str(q).rjust(places + 1, "0")
-    if places == 0:
-        return sign + digits
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    return _fixed_point(sign, q, places)

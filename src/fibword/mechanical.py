@@ -7,6 +7,7 @@ labelling.  Counts, densities and discrepancies are all exact.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,8 +16,7 @@ from .goldenexact import (
     INV_PHI,
     INV_PHI_SQUARED,
     Surd,
-    beatty_phi,
-    beatty_phi2,
+    beatty_pairs,
     fraction_decimal,
     int_surd_sign,
     isqrt,
@@ -31,20 +31,12 @@ def mechanical_prefix(n: int) -> Word:
     if n < 1:
         raise ValueError("prefix length must be >= 1")
     cells: list[str] = [""] * n
-    m = 1
-    while True:
-        p = beatty_phi(m)
-        if p > n:
+    for zero_at, one_at in beatty_pairs():
+        if zero_at > n:
             break
-        cells[p - 1] = "0"
-        m += 1
-    m = 1
-    while True:
-        p = beatty_phi2(m)
-        if p > n:
-            break
-        cells[p - 1] = "1"
-        m += 1
+        cells[zero_at - 1] = "0"
+        if one_at <= n:
+            cells[one_at - 1] = "1"
     return Word(BINARY, "".join(cells))
 
 
@@ -58,6 +50,18 @@ def count_ones_upto(n: int) -> int:
         raise ValueError("prefix length must be >= 1")
     big_n = n + 1
     return (3 * big_n - isqrt(5 * big_n * big_n) - 1) // 2
+
+
+def ones_counts(limit: int) -> Iterator[int]:
+    """count_ones_upto(n) for n = 1 .. limit, in order, from the stream of ones positions."""
+    pairs = beatty_pairs()
+    upcoming = next(pairs)[1]
+    count1 = 0
+    for n in range(1, limit + 1):
+        if n == upcoming:
+            count1 += 1
+            upcoming = next(pairs)[1]
+        yield count1
 
 
 def count_zeros_upto(n: int) -> int:
@@ -126,17 +130,10 @@ def max_discrepancy(limit: int) -> tuple[Surd, int]:
     """
     if limit < 1:
         raise ValueError("sweep bound must be >= 1")
-    count1 = 0
-    m = 1
-    upcoming = beatty_phi2(1)
     best_sq = (0, 0)
     best_pq = (0, 0)
     best_n = 0
-    for n in range(1, limit + 1):
-        if n == upcoming:
-            count1 += 1
-            m += 1
-            upcoming = beatty_phi2(m)
+    for n, count1 in enumerate(ones_counts(limit), 1):
         p = 2 * count1 - 3 * n
         q = n
         sq = (p * p + 5 * q * q, 2 * p * q)
@@ -155,14 +152,12 @@ def verify_beatty_partition(limit: int) -> ClaimResult:
     if limit < 1:
         raise ValueError("sweep bound must be >= 1")
     hits = bytearray(limit + 1)
-    for floor_fn in (beatty_phi, beatty_phi2):
-        m = 1
-        while True:
-            p = floor_fn(m)
-            if p > limit:
-                break
-            hits[p] += 1
-            m += 1
+    for zero_at, one_at in beatty_pairs():
+        if zero_at > limit:
+            break
+        hits[zero_at] += 1
+        if one_at <= limit:
+            hits[one_at] += 1
     for k in range(1, limit + 1):
         if hits[k] != 1:
             return refuted(

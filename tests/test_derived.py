@@ -13,8 +13,10 @@ from fibword.derived import (
     letter_densities,
     q_word,
     y_word,
+    y_words,
 )
 from fibword.goldenexact import INV_PHI, Surd, fib
+from fibword.mechanical import mechanical_prefix
 
 
 def test_y_word_examples():
@@ -30,6 +32,13 @@ def test_y_word_examples():
 def test_y_lengths_follow_fibonacci():
     for n in range(31):
         assert len(y_word(n)) == fib(n + 2)
+
+
+def test_y_words_stream_is_the_fibonacci_word():
+    # y_n is the length-F(n+2) prefix of the Beatty-built word under 0 -> a, 1 -> b
+    word = mechanical_prefix(fib(21)).text.translate(str.maketrans("01", "ab"))
+    for n, text in zip(range(20), y_words()):
+        assert text == word[: fib(n + 2)]
 
 
 def test_y_prefix_property():

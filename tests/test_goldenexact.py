@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -119,6 +120,45 @@ def test_int_surd_sign_matches_surd():
     for _ in range(2000):
         p, q = rng.randint(-40, 40), rng.randint(-40, 40)
         assert int_surd_sign(p, q) == Surd(Fraction(p), Fraction(q)).sign()
+
+
+def test_sign_and_floor_on_near_cancelling_large_operands():
+    # (a + b*sqrt5)/den with 60-digit b, a within 2 of -b*sqrt5 and a 30-digit den: any
+    # nonzero a + b*sqrt5 is at least ~1e-61 from zero, far wider than this 1e-200
+    # bracket of sqrt5, which is built without the kernel's sign routine.
+    lo5 = Fraction(math.isqrt(5 * 10**400), 10**200)
+    hi5 = lo5 + Fraction(1, 10**200)
+    rng = random.Random(2024)
+    signs = set()
+    for _ in range(2000):
+        b = rng.randrange(10**59, 10**60) * rng.choice((1, -1))
+        root = math.isqrt(5 * b * b)
+        a = (-root if b > 0 else root) + rng.randint(-2, 2)
+        den = rng.randrange(10**29, 10**30)
+        ends = ((a + b * lo5) / den, (a + b * hi5) / den)
+        lo, hi = min(ends), max(ends)
+        expected = 1 if lo > 0 else -1
+        assert (lo > 0) != (hi < 0)
+        assert math.floor(lo) == math.floor(hi)
+        s = Surd(Fraction(a, den), Fraction(b, den))
+        assert s.sign() == expected
+        assert s.floor() == math.floor(lo)
+        signs.add(expected)
+    assert signs == {1, -1}
+
+
+def test_surd_operand_coercion():
+    one = Surd.from_rational(1)
+    assert not one > 1 and not one < 1 and one >= 1 and one <= 1
+    assert not 1 < one and 1 <= one and not Fraction(1) > one
+    assert 2 - PHI == PHI_BAR * PHI_BAR
+    assert 1 / PHI == INV_PHI and PHI / 1 == PHI
+    assert 3 * PHI == PHI * 3 == PHI + PHI + PHI and 1 + PHI == PHI_SQUARED
+    for bad in (0.5, "1", None):
+        with pytest.raises(TypeError):
+            PHI + bad
+        with pytest.raises(TypeError):
+            PHI < bad
 
 
 def test_beatty_examples():

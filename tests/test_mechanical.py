@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from fibword.goldenexact import INV_PHI, INV_PHI_SQUARED, Surd, beatty_phi2
+from fibword.goldenexact import (
+    INV_PHI,
+    INV_PHI_SQUARED,
+    Surd,
+    beatty_pairs,
+    beatty_phi,
+    beatty_phi2,
+)
 from fibword.mechanical import (
     count_ones_upto,
     count_zeros_upto,
@@ -10,6 +17,7 @@ from fibword.mechanical import (
     max_discrepancy,
     mechanical_prefix,
     morphic_mechanical_agree,
+    ones_counts,
     ones_deviation,
     verify_beatty_partition,
 )
@@ -159,3 +167,14 @@ def test_prefix_ones_positions_are_beatty():
         expected.add(beatty_phi2(m))
         m += 1
     assert positions == expected
+
+
+def test_beatty_pairs_match_random_access_floors():
+    pairs = zip(range(1, 10_001), beatty_pairs())
+    assert all(pair == (beatty_phi(m), beatty_phi2(m)) for m, pair in pairs)
+
+
+def test_ones_counts_match_closed_form():
+    closed = [count_ones_upto(n) for n in range(1, 10_001)]
+    for limit in (1, 2, 3, 10, 10_000):
+        assert list(ones_counts(limit)) == closed[:limit]

@@ -38,12 +38,9 @@ from .goldenexact import (
     SQRT5,
     Surd,
     ZeckendorfRep,
-    base_b_digits,
     beatty_phi,
     beatty_phi2,
     fib,
-    fib_code_valid,
-    fib_m_step,
     fraction_decimal,
     isqrt,
     lucas,
@@ -95,9 +92,9 @@ __all__ = [
     "DensityReport", "DensityRow", "FixedPointStream", "INV_PHI", "INV_PHI_SQUARED", "Morphism",
     "PHI", "PHI_BAR", "PHI_SQUARED", "REFUTED", "SQRT5", "Surd", "VERIFIED", "Word",
     "ZeckendorfRep", "ab_word", "alg_add", "alg_mul", "alg_scalar", "alpha_identity_check", "apply",
-    "base_b_digits", "beatty_phi", "beatty_phi2", "binary_word", "check_pow_invariance", "concat",
+    "beatty_phi", "beatty_phi2", "binary_word", "check_pow_invariance", "concat",
     "contains_factor", "count_ones_upto", "count_symbol", "count_zeros_upto", "density_report",
-    "density_table", "df_density", "factor_set", "fib", "fib_code_valid", "fib_m_step",
+    "density_table", "df_density", "factor_set", "fib",
     "fib_word_ab", "fibonacci_morphism", "fixed_point_prefix", "fraction_decimal", "is_non_erasing",
     "is_partition_word", "is_prolongable", "isolated_one_runs", "isqrt",
     "letter_counts_closed_form", "letter_densities", "location_set", "lucas", "max_discrepancy",

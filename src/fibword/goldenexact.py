@@ -1,7 +1,10 @@
 """Exact arithmetic kernel: Q(sqrt 5), Beatty floors, Fibonacci machinery.
 
-Everything here is integer/rational exact.  Floating point never appears;
-decimal strings are produced by digit extraction from exact values.
+Everything here is integer exact.  A `Surd` is the integer triple
+(p + q*sqrt(5))/d in lowest terms, so its arithmetic is integer products and
+one gcd per result; `fib` and `lucas` double over the pair (F(k), L(k)).
+Floating point never appears; decimal strings are produced by digit
+extraction from exact values.
 """
 
 from __future__ import annotations
@@ -13,17 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
 
-from .words import Word
-
 RationalLike = Union[int, Fraction]
 
 
 # Floor of the square root, exact for arbitrary size; ValueError below zero.
 isqrt = math.isqrt
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
 
 
 def int_surd_sign(p: int, q: int) -> int:
@@ -46,6 +43,17 @@ def int_surd_sign(p: int, q: int) -> int:
     return (rhs > lhs) - (rhs < lhs)
 
 
+def _surd(p: int, q: int, d: int) -> Surd:
+    """The Surd (p + q*sqrt(5))/d for integers with d != 0, in lowest terms with d > 0."""
+    g = math.gcd(d, p, q)  # d first: it is usually small, and gcd stops working once it reaches 1
+    if d < 0:
+        g = -g
+    s = object.__new__(Surd)
+    # Written into the instance dict, past the frozen dataclass's __setattr__.
+    s.__dict__.update(p=p // g, q=q // g, d=d // g)
+    return s
+
+
 def _surd_operand(method):
     """Operator decorator: an int or Fraction operand becomes a Surd, anything else NotImplemented."""
 
@@ -54,46 +62,60 @@ def _surd_operand(method):
         if not isinstance(other, Surd):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            other = Surd.from_rational(other)
+            other = _surd(other.numerator, 0, other.denominator)
         return method(self, other)
 
     return coerced
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Surd:
-    """Exact element a + b*sqrt(5) with rational a, b.
+    """Exact element a + b*sqrt(5) of Q(sqrt 5), built as Surd(a, b) from rationals a, b.
 
-    Components are kept reduced by Fraction, so equality is component-wise.
+    Stored as integers (p + q*sqrt(5))/d with gcd(p, q, d) = 1 and d > 0, so
+    each value has one spelling and equality and hashing are field-wise.
     """
 
-    a: Fraction
-    b: Fraction
+    p: int
+    q: int
+    d: int
 
-    def __post_init__(self) -> None:
-        if isinstance(self.a, float) or isinstance(self.b, float):
+    def __init__(self, a: RationalLike, b: RationalLike) -> None:
+        if isinstance(a, float) or isinstance(b, float):
             raise TypeError("surd components must be exact (int or Fraction)")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        a, b = Fraction(a), Fraction(b)
+        den = a.denominator * b.denominator
+        reduced = _surd(a.numerator * b.denominator, b.numerator * a.denominator, den)
+        self.__dict__.update(reduced.__dict__)
 
     @staticmethod
     def from_rational(x: RationalLike) -> "Surd":
-        return Surd(Fraction(x), Fraction(0))
+        return Surd(Fraction(x), 0)
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of sqrt(5)."""
+        return Fraction(self.q, self.d)
 
     # -- field operations ---------------------------------------------------
 
     @_surd_operand
     def __add__(self, o):
-        return Surd(self.a + o.a, self.b + o.b)
+        return _surd(self.p * o.d + o.p * self.d, self.q * o.d + o.q * self.d, self.d * o.d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Surd":
-        return Surd(-self.a, -self.b)
+        return _surd(-self.p, -self.q, self.d)
 
     @_surd_operand
     def __sub__(self, o):
-        return Surd(self.a - o.a, self.b - o.b)
+        return _surd(self.p * o.d - o.p * self.d, self.q * o.d - o.q * self.d, self.d * o.d)
 
     @_surd_operand
     def __rsub__(self, o):
@@ -101,15 +123,16 @@ class Surd:
 
     @_surd_operand
     def __mul__(self, o):
-        return Surd(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
+        return _surd(self.p * o.p + 5 * self.q * o.q, self.p * o.q + self.q * o.p, self.d * o.d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Surd":
-        norm = self.a * self.a - 5 * self.b * self.b
+        # d / (p + q sqrt5) = d (p - q sqrt5) / (p^2 - 5 q^2)
+        norm = self.p * self.p - 5 * self.q * self.q
         if norm == 0:
             raise ZeroDivisionError("surd division by zero")
-        return Surd(self.a / norm, -self.b / norm)
+        return _surd(self.d * self.p, -self.d * self.q, norm)
 
     @_surd_operand
     def __truediv__(self, o):
@@ -124,7 +147,7 @@ class Surd:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = Surd.from_rational(1)
+        result = _surd(1, 0, 1)
         base = self
         e = exponent
         while e:
@@ -137,9 +160,8 @@ class Surd:
     # -- order --------------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign, by integer comparisons: scaling by both denominators (> 0) keeps it."""
-        a, b = self.a, self.b
-        return int_surd_sign(a.numerator * b.denominator, b.numerator * a.denominator)
+        """Exact sign, by integer comparisons (d > 0)."""
+        return int_surd_sign(self.p, self.q)
 
     def __abs__(self) -> "Surd":
         return -self if self.sign() < 0 else self
@@ -164,27 +186,23 @@ class Surd:
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     def as_fraction(self) -> Fraction:
-        if self.b != 0:
+        if self.q != 0:
             raise ValueError("surd is irrational")
-        return self.a
+        return Fraction(self.p, self.d)
 
     def floor(self) -> int:
-        """Exact floor, via integer isqrt on a common denominator."""
-        den = _lcm(self.a.denominator, self.b.denominator)
-        p = self.a.numerator * (den // self.a.denominator)
-        q = self.b.numerator * (den // self.b.denominator)
-        if q == 0:
-            t = p
-        elif q > 0:
-            t = p + isqrt(5 * q * q)
-        else:
+        """Exact floor, via integer isqrt."""
+        t, q = self.p, self.q
+        if q > 0:
+            t += isqrt(5 * q * q)
+        elif q < 0:
             # sqrt(5 q^2) is irrational for q != 0, so floor(-x) = -floor(x) - 1
-            t = p - isqrt(5 * q * q) - 1
-        # floor(x / den) = floor(floor(x) / den) for a positive integer den
-        return t // den
+            t -= isqrt(5 * q * q) + 1
+        # floor(x / d) = floor(floor(x) / d) for a positive integer d
+        return t // self.d
 
     def __str__(self) -> str:
         return f"({self.a}) + ({self.b})*sqrt5"
@@ -228,51 +246,41 @@ def beatty_pairs() -> Iterator[tuple[int, int]]:
 # -- Fibonacci and Lucas numbers ----------------------------------------------
 
 
-def _fib_pair(n: int) -> tuple[int, int]:
-    """(F(n), F(n+1)) by binary doubling."""
-    if n == 0:
-        return 0, 1
-    a, b = _fib_pair(n >> 1)
-    c = a * (2 * b - a)
-    d = a * a + b * b
-    return (d, c + d) if n & 1 else (c, d)
+def _fib_lucas(n: int) -> tuple[int, int]:
+    """(F(n), L(n)) by doubling over the bits of n, from the top.
+
+    k -> 2k:   F(2k) = F(k) L(k),  L(2k) = L(k)^2 - 2(-1)^k;
+    k -> k+1:  F(k+1) = (F(k) + L(k))/2,  L(k+1) = (5 F(k) + L(k))/2.
+    """
+    fk, lk, k_odd = 0, 2, False
+    for bit in bin(n)[2:]:
+        fk, lk = fk * lk, lk * lk + (2 if k_odd else -2)
+        k_odd = bit == "1"
+        if k_odd:
+            fk, lk = (fk + lk) >> 1, (5 * fk + lk) >> 1
+    return fk, lk
 
 
 def fib(n: int) -> int:
     """Classical Fibonacci numbers, F(0) = 0, F(1) = 1."""
     if n < 0:
         raise ValueError("fib index must be >= 0")
-    return _fib_pair(n)[0]
+    k = n >> 1
+    fk, lk = _fib_lucas(k)
+    if n & 1:  # F(2k+1) = F(k+1) L(k) - (-1)^k, one product
+        return ((fk + lk) >> 1) * lk + (1 if k & 1 else -1)
+    return fk * lk
 
 
 def lucas(n: int) -> int:
     """Lucas numbers, L(0) = 2, L(1) = 1 (so L(2) = 3)."""
     if n < 0:
         raise ValueError("lucas index must be >= 0")
-    a, b = _fib_pair(n)
-    return 2 * b - a
-
-
-def fib_m_step(m: int, n: int) -> int:
-    """Order-m Fibonacci: each term sums the previous m terms.
-
-    Seeds: F(1) = 1 and F(j) = 0 for -m < j <= 0, which makes m = 2
-    reproduce the classical sequence.
-    """
-    if m < 1:
-        raise ValueError("order m must be >= 1")
-    if n < 1:
-        raise ValueError("index n must be >= 1")
-    # sliding window over F(n-m) .. F(n-1)
-    window = [0] * (m - 1) + [1]  # F(2-m) .. F(1)
-    if n == 1:
-        return 1
-    value = 1
-    for _ in range(2, n + 1):
-        value = sum(window)
-        window.append(value)
-        del window[0]
-    return value
+    k = n >> 1
+    fk, lk = _fib_lucas(k)
+    if n & 1:  # L(2k+1) = L(k) L(k+1) - (-1)^k, one product
+        return lk * ((5 * fk + lk) >> 1) + (1 if k & 1 else -1)
+    return lk * lk + (2 if k & 1 else -2)
 
 
 # -- Zeckendorf representation -------------------------------------------------
@@ -340,52 +348,6 @@ def zeckendorf_decode(rep: ZeckendorfRep | Sequence[int]) -> int:
         total += bit * a
         a, b = b, a + b
     return total
-
-
-# -- Fibonacci codes of order m -------------------------------------------------
-
-
-def fib_code_valid(w: Word | str, m: int) -> bool:
-    """Membership in the order-m Fibonacci code.
-
-    Valid words are 1^m itself and the binary words containing exactly one
-    occurrence of 1^m, as a suffix.  Occurrences are counted with overlaps.
-    """
-    if m < 1:
-        raise ValueError("order m must be >= 1")
-    text = w.text if isinstance(w, Word) else w
-    if set(text) - {"0", "1"}:
-        raise ValueError("word must be binary")
-    marker = "1" * m
-    if text == marker:
-        return True
-    occurrences = []
-    start = text.find(marker)
-    while start != -1:
-        occurrences.append(start)
-        start = text.find(marker, start + 1)
-    return len(occurrences) == 1 and occurrences[0] == len(text) - m
-
-
-# -- digit codings --------------------------------------------------------------
-
-
-def base_b_digits(x: Fraction, b: int, count: int) -> list[int]:
-    """First `count` digits of x in base b, by exact iteration of y -> {b y}."""
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise ValueError("x must lie in [0, 1)")
-    if b < 2:
-        raise ValueError("base must be >= 2")
-    if count < 1:
-        raise ValueError("digit count must be >= 1")
-    digits = []
-    for _ in range(count):
-        x *= b
-        digit = x.numerator // x.denominator
-        digits.append(digit)
-        x -= digit
-    return digits
 
 
 # -- decimal rendering (exact digit extraction) ----------------------------------

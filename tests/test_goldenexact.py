@@ -13,12 +13,9 @@ from fibword.goldenexact import (
     SQRT5,
     Surd,
     ZeckendorfRep,
-    base_b_digits,
     beatty_phi,
     beatty_phi2,
     fib,
-    fib_code_valid,
-    fib_m_step,
     fraction_decimal,
     int_surd_sign,
     isqrt,
@@ -161,6 +158,184 @@ def test_surd_operand_coercion():
             PHI < bad
 
 
+# -- Surd against a reference of Fraction pairs --------------------------------
+
+
+class _Ref:
+    """a + b*sqrt5 as a pair of reduced Fractions, with the textbook field rules."""
+
+    def __init__(self, a, b):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def pair(self):
+        return self.a, self.b
+
+    def __add__(self, o):
+        return _Ref(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return _Ref(self.a - o.a, self.b - o.b)
+
+    def __neg__(self):
+        return _Ref(-self.a, -self.b)
+
+    def __mul__(self, o):
+        return _Ref(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    def inverse(self):
+        norm = self.a * self.a - 5 * self.b * self.b
+        return _Ref(self.a / norm, -self.b / norm)
+
+    def __pow__(self, e):
+        base = self.inverse() if e < 0 else self
+        out = _Ref(1, 0)
+        for _ in range(abs(e)):
+            out = out * base
+        return out
+
+    def sign(self):
+        # scale both parts by the positive denominators, then compare p^2 with 5 q^2
+        p, q = self.a.numerator * self.b.denominator, self.b.numerator * self.a.denominator
+        if (p >= 0) == (q >= 0) or p == 0 or q == 0:
+            return (p + q > 0) - (p + q < 0)
+        return (p > 0) - (p < 0) if p * p > 5 * q * q else (q > 0) - (q < 0)
+
+    def floor(self):
+        # |b| sqrt5 lies within 1/den(b) of isqrt(5 num(b)^2)/den(b), so m starts within 2 of the floor
+        root = Fraction(math.isqrt(5 * self.b.numerator**2), self.b.denominator)
+        m = math.floor(self.a + (root if self.b >= 0 else -root))
+        while (self - _Ref(m, 0)).sign() < 0:
+            m -= 1
+        while (self - _Ref(m + 1, 0)).sign() >= 0:
+            m += 1
+        return m
+
+
+def _digits(rng, most=60):
+    n = rng.randint(1, most)
+    return rng.randrange(10 ** (n - 1), 10**n)
+
+
+def _random_pair(rng):
+    """(a, b) of 1-60 digit parts: generic, zero parts, or a within 2 of -b*sqrt5."""
+    kind = rng.randrange(5)
+    den = _digits(rng)
+    b = Fraction(_digits(rng) * rng.choice((1, -1)), den)
+    if kind == 0:
+        return Fraction(0), Fraction(0)
+    if kind == 1:
+        return Fraction(_digits(rng) * rng.choice((1, -1)), _digits(rng)), Fraction(0)
+    if kind == 2:
+        return Fraction(0), b
+    if kind == 3:
+        root = math.isqrt(5 * b.numerator**2)
+        return Fraction((-root if b > 0 else root) + rng.randint(-2, 2), den), b
+    return Fraction(_digits(rng) * rng.choice((1, -1)), _digits(rng)), b
+
+
+def _assert_lowest_terms(s):
+    assert s.d > 0 and math.gcd(s.p, s.q, s.d) == 1
+
+
+def test_surd_against_fraction_pair_reference():
+    rng = random.Random(606)
+    for case in range(600):
+        (a1, b1), (a2, b2) = _random_pair(rng), _random_pair(rng)
+        x, y, rx, ry = Surd(a1, b1), Surd(a2, b2), _Ref(a1, b1), _Ref(a2, b2)
+        # every third right operand is a bare int or Fraction, coerced by the operator
+        if case % 3 == 0:
+            y = a2.numerator if case % 2 else a2
+            ry = _Ref(y, 0)
+        results = [
+            (x + y, rx + ry), (y + x, ry + rx), (x - y, rx - ry), (y - x, ry - rx),
+            (x * y, rx * ry), (y * x, ry * rx), (-x, -rx), (abs(x), -rx if rx.sign() < 0 else rx),
+        ]
+        for e in range(-3, 4):
+            if e >= 0 or rx.sign() != 0:
+                results.append((x**e, rx**e))
+        if ry.sign() != 0:
+            results += [(x / y, rx * ry.inverse())]
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        if rx.sign() != 0:
+            results += [(y / x, ry * rx.inverse())]
+        for got, want in results:
+            _assert_lowest_terms(got)
+            assert (got.a, got.b) == want.pair(), (case, a1, b1, a2, b2)
+        diff = (rx - ry).sign()
+        assert (x < y, x <= y, x > y, x >= y) == (diff < 0, diff <= 0, diff > 0, diff >= 0)
+        assert x.sign() == rx.sign() and x.floor() == rx.floor()
+
+
+def test_surd_one_spelling_per_value():
+    halves = Surd(Fraction(2, 4), Fraction(3, 6))
+    assert halves == PHI and hash(halves) == hash(PHI)
+    assert (halves.p, halves.q, halves.d) == (1, 1, 2)
+    assert halves.a == Fraction(1, 2) and halves.b == Fraction(1, 2)
+    assert Surd(Fraction(-6, -4), 0) == Surd.from_rational(Fraction(3, 2)) == Surd(3, 0) / 2
+    assert PHI_SQUARED - PHI == Surd(1, 0) and hash(PHI_SQUARED - PHI) == hash(Surd.from_rational(1))
+    assert len({PHI, halves, PHI * 1, INV_PHI + 1, PHI_SQUARED / PHI}) == 1
+    assert Surd(0, 0) == Surd(Fraction(0, 7), 0) and (Surd(0, 0).p, Surd(0, 0).d) == (0, 1)
+
+
+def test_surd_pickle_copy_and_frozen():
+    import copy
+    import dataclasses
+    import pickle
+
+    values = [PHI, -INV_PHI_SQUARED, Surd(0, 0), Surd(Fraction(10**40 + 1, 3), Fraction(-7, 9))]
+    for s in values:
+        pickled = [pickle.loads(pickle.dumps(s, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in pickled + [copy.copy(s), copy.deepcopy(s)]:
+            assert type(clone) is Surd and clone == s and hash(clone) == hash(s) and str(clone) == str(s)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.p = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.a = Fraction(1)
+    with pytest.raises(ZeroDivisionError):
+        Surd(0, 0).inverse()
+    with pytest.raises(ZeroDivisionError):
+        PHI / Surd(0, 0)
+
+
+def test_surd_str_bytes():
+    # recorded from the Fraction-pair Surd; payloads print these strings
+    values = [
+        PHI, -PHI, PHI_BAR, SQRT5, INV_PHI, INV_PHI_SQUARED, PHI_SQUARED, PHI**10, PHI**-7, PHI**45,
+        Surd(0, 0), Surd(Fraction(-3, 4), 0), Surd(0, Fraction(5, 7)), Surd(Fraction(2, 4), Fraction(3, 6)),
+        Surd(-7, 3), INV_PHI_SQUARED * 1000, INV_PHI * -999, Surd(Fraction(10**30 + 1, 7), Fraction(-2, 21)),
+        Surd(Fraction(1, 3), Fraction(1, 6)) * Surd(Fraction(-2, 5), Fraction(7, 10)), SQRT5.inverse(),
+        (PHI - 1) / (PHI + 3), abs(Surd(Fraction(-35, 2), Fraction(7, 2))),
+        Surd(Fraction(6, 4), Fraction(-10, 4)) ** 3,
+    ]
+    assert [str(v) for v in values] == [
+        "(1/2) + (1/2)*sqrt5",
+        "(-1/2) + (-1/2)*sqrt5",
+        "(1/2) + (-1/2)*sqrt5",
+        "(0) + (1)*sqrt5",
+        "(-1/2) + (1/2)*sqrt5",
+        "(3/2) + (-1/2)*sqrt5",
+        "(3/2) + (1/2)*sqrt5",
+        "(123/2) + (55/2)*sqrt5",
+        "(-29/2) + (13/2)*sqrt5",
+        "(1268860318) + (567451585)*sqrt5",
+        "(0) + (0)*sqrt5",
+        "(-3/4) + (0)*sqrt5",
+        "(0) + (5/7)*sqrt5",
+        "(1/2) + (1/2)*sqrt5",
+        "(-7) + (3)*sqrt5",
+        "(1500) + (-500)*sqrt5",
+        "(999/2) + (-999/2)*sqrt5",
+        "(1000000000000000000000000000001/7) + (-2/21)*sqrt5",
+        "(9/20) + (1/6)*sqrt5",
+        "(0) + (1/5)*sqrt5",
+        "(-3/11) + (2/11)*sqrt5",
+        "(35/2) + (-7/2)*sqrt5",
+        "(144) + (-95)*sqrt5",
+    ]
+
+
 def test_beatty_examples():
     assert [beatty_phi(n) for n in (1, 2, 3)] == [1, 3, 4]
     assert beatty_phi(4) == 6
@@ -225,16 +400,33 @@ def test_binet_exact():
         assert phi_n + bar_n == Surd.from_rational(lucas(n))
 
 
-def test_fib_m_step():
-    assert [fib_m_step(3, n) for n in range(1, 7)] == [1, 1, 2, 4, 7, 13]
-    assert all(fib_m_step(2, n) == fib(n) for n in range(1, 31))
-    assert all(fib_m_step(1, n) == 1 for n in range(1, 25))
-    # tetranacci spot check
-    assert [fib_m_step(4, n) for n in range(1, 8)] == [1, 1, 2, 4, 8, 15, 29]
-    with pytest.raises(ValueError):
-        fib_m_step(0, 1)
-    with pytest.raises(ValueError):
-        fib_m_step(2, 0)
+def test_fib_lucas_match_iteration_to_5000():
+    # n = 0, 1, 2 and both parities of the last doubling step
+    f, luc = [0, 1], [2, 1]
+    for n in range(2, 5001):
+        f.append(f[-1] + f[-2])
+        luc.append(luc[-1] + luc[-2])
+    assert [fib(n) for n in range(5001)] == f
+    assert [lucas(n) for n in range(5001)] == luc
+
+
+def test_fib_lucas_identities_at_log_spaced_n():
+    spots = sorted({round(10 ** (k / 3)) + s for k in range(19) for s in (0, 1)})
+    assert spots[-1] == 10**6 + 1
+    for n in spots:
+        fn, ln = fib(n), lucas(n)
+        before, after = fib(n - 1), fib(n + 1)
+        assert fib(2 * n) == fn * ln
+        assert before * after - fn * fn == (-1) ** n  # Cassini
+        assert ln == before + after
+
+
+def test_fib_lucas_reject_negative_indices():
+    for n in (-1, -2, -(10**6)):
+        with pytest.raises(ValueError):
+            fib(n)
+        with pytest.raises(ValueError):
+            lucas(n)
 
 
 def test_zeckendorf_examples():
@@ -276,43 +468,6 @@ def test_zeckendorf_decode_validation():
         ZeckendorfRep((0, 2))
     with pytest.raises(ValueError):
         zeckendorf_encode(-1)
-
-
-def test_fib_code_valid():
-    assert fib_code_valid("11", 2)
-    assert fib_code_valid("011", 2)
-    assert not fib_code_valid("110", 2)
-    assert not fib_code_valid("111", 2)  # two overlapping occurrences
-    assert not fib_code_valid("11011", 2)
-    assert fib_code_valid("1", 1)
-    assert not fib_code_valid("11", 1)
-    with pytest.raises(ValueError):
-        fib_code_valid("012", 2)
-    with pytest.raises(ValueError):
-        fib_code_valid("1", 0)
-
-
-def test_base_b_digits():
-    assert base_b_digits(Fraction(1, 2), 2, 3) == [1, 0, 0]
-    assert base_b_digits(Fraction(1, 3), 3, 4) == [1, 0, 0, 0]
-    assert base_b_digits(Fraction(1, 7), 10, 6) == [1, 4, 2, 8, 5, 7]
-    assert base_b_digits(Fraction(0), 10, 2) == [0, 0]
-    with pytest.raises(ValueError):
-        base_b_digits(Fraction(3, 2), 10, 1)
-    with pytest.raises(ValueError):
-        base_b_digits(Fraction(1, 2), 1, 1)
-
-
-def test_base_b_digits_reconstruct():
-    rng = random.Random(11)
-    for _ in range(200):
-        den = rng.randint(2, 500)
-        num = rng.randint(0, den - 1)
-        x = Fraction(num, den)
-        b = rng.choice([2, 3, 7, 10, 16])
-        digits = base_b_digits(x, b, 40)
-        partial = sum(d * Fraction(1, b ** (i + 1)) for i, d in enumerate(digits))
-        assert 0 <= x - partial < Fraction(1, b**40)
 
 
 def test_fraction_decimal_rendering():

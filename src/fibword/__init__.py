@@ -34,7 +34,6 @@ from .goldenexact import (
     INV_PHI_SQUARED,
     PHI,
     PHI_BAR,
-    PHI_SQUARED,
     SQRT5,
     Surd,
     ZeckendorfRep,
@@ -45,14 +44,12 @@ from .goldenexact import (
     isqrt,
     lucas,
     surd_decimal,
-    surd_sign,
     zeckendorf_decode,
     zeckendorf_encode,
 )
 from .mechanical import (
     DensityReport,
     count_ones_upto,
-    count_zeros_upto,
     density_report,
     max_discrepancy,
     mechanical_prefix,
@@ -65,7 +62,6 @@ from .morphism import (
     apply,
     fibonacci_morphism,
     fixed_point_prefix,
-    is_non_erasing,
     is_prolongable,
     mortal_letters,
 )
@@ -76,30 +72,20 @@ from .words import (
     Word,
     ab_word,
     binary_word,
-    concat,
-    contains_factor,
-    count_symbol,
     factor_set,
-    is_partition_word,
-    isolated_one_runs,
-    location_set,
     ultrametric_distance,
-    ultrametric_value,
 )
 
 __all__ = [
     "AB", "ALL_CLAIM_IDS", "AlgebraElement", "Alphabet", "BINARY", "Budgets", "ClaimResult",
     "DensityReport", "DensityRow", "FixedPointStream", "INV_PHI", "INV_PHI_SQUARED", "Morphism",
-    "PHI", "PHI_BAR", "PHI_SQUARED", "REFUTED", "SQRT5", "Surd", "VERIFIED", "Word",
-    "ZeckendorfRep", "ab_word", "alg_add", "alg_mul", "alg_scalar", "alpha_identity_check", "apply",
-    "beatty_phi", "beatty_phi2", "binary_word", "check_pow_invariance", "concat",
-    "contains_factor", "count_ones_upto", "count_symbol", "count_zeros_upto", "density_report",
-    "density_table", "df_density", "factor_set", "fib",
-    "fib_word_ab", "fibonacci_morphism", "fixed_point_prefix", "fraction_decimal", "is_non_erasing",
-    "is_partition_word", "is_prolongable", "isolated_one_runs", "isqrt",
-    "letter_counts_closed_form", "letter_densities", "location_set", "lucas", "max_discrepancy",
+    "PHI", "PHI_BAR", "REFUTED", "SQRT5", "Surd", "VERIFIED", "Word", "ZeckendorfRep", "ab_word",
+    "alg_add", "alg_mul", "alg_scalar", "alpha_identity_check", "apply", "beatty_phi",
+    "beatty_phi2", "binary_word", "check_pow_invariance", "count_ones_upto", "density_report",
+    "density_table", "df_density", "factor_set", "fib", "fib_word_ab", "fibonacci_morphism",
+    "fixed_point_prefix", "fraction_decimal", "is_prolongable", "isqrt",
+    "letter_counts_closed_form", "letter_densities", "lucas", "max_discrepancy",
     "mechanical_prefix", "morphic_mechanical_agree", "mortal_letters", "pow_fib", "q_word",
-    "run_all_claims", "run_claims", "surd_decimal", "surd_sign", "ultrametric_distance",
-    "ultrametric_value", "verify_beatty_partition", "y_word", "zeckendorf_decode",
-    "zeckendorf_encode",
+    "run_all_claims", "run_claims", "surd_decimal", "ultrametric_distance",
+    "verify_beatty_partition", "y_word", "zeckendorf_decode", "zeckendorf_encode",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .claimresult import ClaimResult, refuted, verified
@@ -49,7 +49,7 @@ from .mechanical import (
     ones_counts,
     verify_beatty_partition,
 )
-from .words import AB
+from .words import AB, Word, binary_word, ultrametric_distance
 
 # Claimed constant value of the power element (13-letter second monomial);
 # direct concatenation gives a 10-letter monomial, so this is claim data only.
@@ -75,39 +75,20 @@ PUBLISHED_DENSITY_TABLE = (
 
 @dataclass(frozen=True)
 class Budgets:
-    """Sweep bounds for the claim registry; all checks are exact within them."""
+    """The sweep bounds the CLI sets; all checks are exact within them.
+
+    Every other bound is a literal in `REGISTRY`.
+    """
 
     sweep_n: int = 100_000
     scan_n: int = 10_000
-    alpha_max: int = 10
-    y_max: int = 30
-    letters_max: int = 25
-    pow_k_max: int = 6
-    telescope_m: int = 1
-    telescope_k_max: int = 10
-    doubling_n_max: int = 50
-    binet_n: int = 200
-    genfunc_n: int = 20
     ball_cases: int = 10_000
-    ball_word_len: int = 24
-    ball_seed: int = 7
-    framed_m_max: int = 19
-    df_k: int = 30
 
     def __post_init__(self) -> None:
-        minima = {
-            "scan_n": 3,
-            "pow_k_max": 3,
-            "telescope_k_max": 2,
-            "doubling_n_max": 2,
-            "framed_m_max": 13,
-            "ball_seed": 0,
-        }
-        for f in fields(self):
-            value = getattr(self, f.name)
-            minimum = minima.get(f.name, 1)
+        for name, minimum in (("sweep_n", 1), ("scan_n", 3), ("ball_cases", 1)):
+            value = getattr(self, name)
             if value < minimum:
-                raise ValueError(f"budget {f.name} must be >= {minimum}, got {value}")
+                raise ValueError(f"budget {name} must be >= {minimum}, got {value}")
 
 
 # -- series identities ---------------------------------------------------------
@@ -282,16 +263,16 @@ def binet_check(n_max: int) -> ClaimResult:
 # -- ultrametric ball nesting ----------------------------------------------------
 
 
-def _ball_members(universe: list[str], center: str, radius_exp: int) -> set[str]:
-    """Open ball by the distance definition itself (enumeration oracle)."""
+def _ball_members(universe: list[Word], center: Word, r: int) -> set[str]:
+    """Texts of the open ball B(center, 2^-r) by the word metric itself (enumeration oracle).
+
+    d(z, center) < 2^-r iff the distance is zero (None) or its exponent exceeds r.
+    """
     members = set()
     for z in universe:
-        if z == center:
-            members.add(z)
-            continue
-        n = next(i for i, (x, y) in enumerate(zip(z, center)) if x != y)
-        if Fraction(1, 2**n) < Fraction(1, 2**radius_exp):
-            members.add(z)
+        n = ultrametric_distance(z, center)
+        if n is None or n > r:
+            members.add(z.text)
     return members
 
 
@@ -309,7 +290,7 @@ def ball_nesting_check(cases: int, word_len: int, seed: int) -> ClaimResult:
     exhaustive = min(cases // 10, 200)
     for _ in range(exhaustive):
         length = rng.randint(1, 8)
-        universe = [format(i, f"0{length}b") for i in range(2**length)]
+        universe = [binary_word(format(i, f"0{length}b")) for i in range(2**length)]
         u = rng.choice(universe)
         v = rng.choice(universe)
         r = rng.randint(0, length + 1)
@@ -321,8 +302,8 @@ def ball_nesting_check(cases: int, word_len: int, seed: int) -> ClaimResult:
                 claim_id,
                 location,
                 f"balls B({u}, 2^-{r}) and B({v}, 2^-{s}) intersect but neither contains the other",
-                u=u,
-                v=v,
+                u=u.text,
+                v=v.text,
                 r=r,
                 s=s,
             )
@@ -645,18 +626,18 @@ REGISTRY = (
     (("discrepancy-bound",), lambda b: _claim_discrepancy_bound(b.sweep_n)),
     (("local-no-11",), lambda b: _claim_local_no_11(b.sweep_n)),
     (("local-three-window",), lambda b: _claim_local_three_window(b.scan_n)),
-    (("framed-density-limit",), lambda b: _claim_framed_density_limit(b.framed_m_max)),
-    (("y-length-formula",), lambda b: _claim_y_length(b.y_max)),
-    (("alpha-identity",), lambda b: _claim_alpha_identity(b.alpha_max, b.scan_n)),
-    (("pow-invariance",), lambda b: check_pow_invariance(b.pow_k_max)),
+    (("framed-density-limit",), lambda b: _claim_framed_density_limit(19)),
+    (("y-length-formula",), lambda b: _claim_y_length(30)),
+    (("alpha-identity",), lambda b: _claim_alpha_identity(10, b.scan_n)),
+    (("pow-invariance",), lambda b: check_pow_invariance(6)),
     (("pow-value",), lambda b: _claim_pow_value()),
-    (("telescoping-identity",), lambda b: check_telescoping(b.telescope_m, b.telescope_k_max)),
-    (("doubling-fib", "doubling-lucas-form"), lambda b: doubling_identity_check(b.doubling_n_max)),
-    (("binet-formulas",), lambda b: binet_check(b.binet_n)),
-    (("generating-function",), lambda b: genfunc_check(b.genfunc_n)),
-    (("ball-nesting",), lambda b: ball_nesting_check(b.ball_cases, b.ball_word_len, b.ball_seed)),
-    (("letter-counts",), lambda b: _claim_letter_counts(b.letters_max)),
-    (("df-convergence",), lambda b: _claim_df_convergence(b.df_k)),
+    (("telescoping-identity",), lambda b: check_telescoping(1, 10)),
+    (("doubling-fib", "doubling-lucas-form"), lambda b: doubling_identity_check(50)),
+    (("binet-formulas",), lambda b: binet_check(200)),
+    (("generating-function",), lambda b: genfunc_check(20)),
+    (("ball-nesting",), lambda b: ball_nesting_check(b.ball_cases, 24, 7)),
+    (("letter-counts",), lambda b: _claim_letter_counts(25)),
+    (("df-convergence",), lambda b: _claim_df_convergence(30)),
 )
 
 ALL_CLAIM_IDS = tuple(sorted(claim_id for ids, _ in REGISTRY for claim_id in ids))

@@ -90,7 +90,7 @@ class Surd:
 
     @staticmethod
     def from_rational(x: RationalLike) -> "Surd":
-        return Surd(Fraction(x), 0)
+        return Surd(x, 0)
 
     @property
     def a(self) -> Fraction:
@@ -188,11 +188,6 @@ class Surd:
     def is_rational(self) -> bool:
         return self.q == 0
 
-    def as_fraction(self) -> Fraction:
-        if self.q != 0:
-            raise ValueError("surd is irrational")
-        return Fraction(self.p, self.d)
-
     def floor(self) -> int:
         """Exact floor, via integer isqrt."""
         t, q = self.p, self.q
@@ -208,13 +203,9 @@ class Surd:
         return f"({self.a}) + ({self.b})*sqrt5"
 
 
-surd_sign = Surd.sign
-
-
 SQRT5 = Surd(Fraction(0), Fraction(1))
 PHI = Surd(Fraction(1, 2), Fraction(1, 2))
 PHI_BAR = Surd(Fraction(1, 2), Fraction(-1, 2))
-PHI_SQUARED = Surd(Fraction(3, 2), Fraction(1, 2))
 INV_PHI = Surd(Fraction(-1, 2), Fraction(1, 2))
 INV_PHI_SQUARED = Surd(Fraction(3, 2), Fraction(-1, 2))
 
@@ -306,10 +297,6 @@ class ZeckendorfRep:
         if bits and bits[-1] != 1:
             raise ValueError("trailing zero bits are not canonical")
 
-    def indices(self) -> tuple[int, ...]:
-        """The 1-based positions i with r_i = 1."""
-        return tuple(i + 1 for i, b in enumerate(self.bits) if b)
-
 
 def _fibs_from_f2(limit: int) -> list[int]:
     """[F(2), F(3), ...] up to the last value <= limit."""
@@ -367,6 +354,8 @@ def fraction_decimal(x: RationalLike, places: int = 6) -> str:
     """Fixed-point decimal string, round-half-even, from an exact rational."""
     if places < 0:
         raise ValueError("places must be >= 0")
+    if isinstance(x, float):
+        raise TypeError("fraction_decimal needs an exact rational (int or Fraction)")
     x = Fraction(x)
     sign = "-" if x < 0 else ""
     den = x.denominator

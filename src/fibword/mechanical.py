@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .claimresult import ClaimResult, refuted, verified
 from .goldenexact import (
-    INV_PHI,
     INV_PHI_SQUARED,
     Surd,
     beatty_pairs,
@@ -64,20 +63,6 @@ def ones_counts(limit: int) -> Iterator[int]:
         yield count1
 
 
-def count_zeros_upto(n: int) -> int:
-    return n - count_ones_upto(n)
-
-
-def ones_target(n: int) -> Surd:
-    """n / phi^2 as an exact surd."""
-    return INV_PHI_SQUARED * n
-
-
-def ones_deviation(n: int) -> Surd:
-    """count_ones_upto(n) - n/phi^2, exactly."""
-    return Surd.from_rational(count_ones_upto(n)) - ones_target(n)
-
-
 @dataclass(frozen=True)
 class DensityReport:
     """Exact symbol statistics for a length-n prefix."""
@@ -89,7 +74,6 @@ class DensityReport:
     density1: Fraction
     target1: Surd
     deviation1: Surd
-    deviation0: Surd
 
     def decimals(self, places: int = 6) -> dict[str, str]:
         """Decimal renderings by exact digit extraction (round-half-even)."""
@@ -106,9 +90,7 @@ def density_report(n: int) -> DensityReport:
         raise ValueError("prefix length must be >= 1")
     ones = count_ones_upto(n)
     zeros = n - ones
-    target1 = ones_target(n)
-    deviation1 = Surd.from_rational(ones) - target1
-    deviation0 = Surd.from_rational(zeros) - INV_PHI * n
+    target1 = INV_PHI_SQUARED * n
     return DensityReport(
         n=n,
         count0=zeros,
@@ -116,8 +98,7 @@ def density_report(n: int) -> DensityReport:
         density0=Fraction(zeros, n),
         density1=Fraction(ones, n),
         target1=target1,
-        deviation1=deviation1,
-        deviation0=deviation0,
+        deviation1=Surd.from_rational(ones) - target1,
     )
 
 

@@ -38,9 +38,6 @@ class Morphism:
             raise ValueError(f"symbol {symbol!r} not in source alphabet")
         return self._images[symbol]
 
-    def __call__(self, w: Word) -> Word:
-        return apply(self, w)
-
     def __repr__(self) -> str:
         body = ", ".join(f"{s}->{w.text}" for s, w in self._images.items())
         return f"Morphism({body})"
@@ -56,10 +53,6 @@ def apply(h: Morphism, w: Word) -> Word:
     if w.alphabet != h.source:
         raise ValueError("word is not over the morphism's source alphabet")
     return Word(h.target, "".join(h.image(c).text for c in w.text))
-
-
-def is_non_erasing(h: Morphism) -> bool:
-    return all(not h.image(s).is_empty for s in h.source.symbols)
 
 
 def mortal_letters(h: Morphism) -> frozenset[str]:

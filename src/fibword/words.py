@@ -7,8 +7,6 @@ be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
 
 MAX_ALPHABET_SIZE = 10
 
@@ -40,12 +38,6 @@ class Alphabet:
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self.symbols
-
-    def index(self, symbol: str) -> int:
-        try:
-            return self.symbols.index(symbol)
-        except ValueError:
-            raise ValueError(f"symbol {symbol!r} not in alphabet {''.join(self.symbols)!r}") from None
 
 
 BINARY = Alphabet(("0", "1"))
@@ -82,11 +74,6 @@ class Word:
     def is_empty(self) -> bool:
         return not self.text
 
-    def indices(self) -> tuple[int, ...]:
-        """Letters as indices into the alphabet."""
-        pos = {s: i for i, s in enumerate(self.alphabet.symbols)}
-        return tuple(pos[c] for c in self.text)
-
 
 def binary_word(text: str) -> Word:
     return Word(BINARY, text)
@@ -94,23 +81,6 @@ def binary_word(text: str) -> Word:
 
 def ab_word(text: str) -> Word:
     return Word(AB, text)
-
-
-def _require_same_alphabet(u: Word, v: Word) -> None:
-    if u.alphabet != v.alphabet:
-        raise ValueError("alphabet mismatch")
-
-
-def concat(u: Word, v: Word) -> Word:
-    _require_same_alphabet(u, v)
-    return Word(u.alphabet, u.text + v.text)
-
-
-def count_symbol(w: Word, symbol: str) -> int:
-    """Number of positions of `w` holding `symbol`."""
-    if symbol not in w.alphabet:
-        raise ValueError(f"symbol {symbol!r} not in alphabet")
-    return w.text.count(symbol)
 
 
 def factor_set(w: Word, n: int) -> set[Word]:
@@ -124,24 +94,6 @@ def factor_set(w: Word, n: int) -> set[Word]:
     return {Word(w.alphabet, t) for t in distinct}
 
 
-def contains_factor(w: Word, f: Word) -> bool:
-    _require_same_alphabet(w, f)
-    return f.text in w.text
-
-
-def location_set(w: Word, f: Word) -> list[int]:
-    """Ascending 1-based start positions of all (overlapping) occurrences of `f`."""
-    _require_same_alphabet(w, f)
-    if f.is_empty:
-        raise ValueError("factor must be non-empty")
-    positions = []
-    start = w.text.find(f.text)
-    while start != -1:
-        positions.append(start + 1)
-        start = w.text.find(f.text, start + 1)
-    return positions
-
-
 def ultrametric_distance(u: Word, v: Word) -> int | None:
     """Distance between finite words, encoded for exactness.
 
@@ -149,41 +101,11 @@ def ultrametric_distance(u: Word, v: Word) -> int | None:
     d(u, v) = 2^-n, where n is the first index of disagreement.  When one word
     is a proper prefix of the other, n is the length of the shorter word.
     """
-    _require_same_alphabet(u, v)
+    if u.alphabet != v.alphabet:
+        raise ValueError("alphabet mismatch")
     if u.text == v.text:
         return None
     for i, (x, y) in enumerate(zip(u.text, v.text)):
         if x != y:
             return i
     return min(len(u), len(v))
-
-
-def ultrametric_value(u: Word, v: Word) -> Fraction:
-    """The distance itself, as an exact rational."""
-    n = ultrametric_distance(u, v)
-    return Fraction(0) if n is None else Fraction(1, 2**n)
-
-
-def is_partition_word(entries: Sequence[int] | Iterable[int]) -> bool:
-    """Restricted-growth check: w_1 = 1 and w_{k+1} <= 1 + max(w_1..w_k).
-
-    Strictly stronger than requiring first occurrences in increasing order,
-    and the standard encoding of set partitions.
-    """
-    highest = 0
-    for k, entry in enumerate(entries):
-        if entry < 1:
-            return False
-        if k == 0 and entry != 1:
-            return False
-        if entry > highest + 1:
-            return False
-        highest = max(highest, entry)
-    return True
-
-
-def isolated_one_runs(w: Word) -> list[int]:
-    """Lengths of the maximal runs of 1s in a binary word, in order."""
-    if w.alphabet != BINARY:
-        raise ValueError("word must be over the binary alphabet {0,1}")
-    return [len(run) for run in w.text.split("0") if run]

@@ -125,9 +125,9 @@ def test_budgets_validation():
     with pytest.raises(ValueError):
         Budgets(sweep_n=0)
     with pytest.raises(ValueError):
-        Budgets(framed_m_max=12)
+        Budgets(scan_n=2)
     with pytest.raises(ValueError):
-        Budgets(doubling_n_max=1)
+        Budgets(ball_cases=0)
     assert Budgets().sweep_n == 100_000
 
 

@@ -9,7 +9,6 @@ from fibword.goldenexact import (
     INV_PHI_SQUARED,
     PHI,
     PHI_BAR,
-    PHI_SQUARED,
     SQRT5,
     Surd,
     ZeckendorfRep,
@@ -21,7 +20,6 @@ from fibword.goldenexact import (
     isqrt,
     lucas,
     surd_decimal,
-    surd_sign,
     zeckendorf_decode,
     zeckendorf_encode,
 )
@@ -52,12 +50,12 @@ def test_isqrt():
 
 
 def test_surd_sign_examples():
-    assert surd_sign(Surd(Fraction(0), Fraction(0))) == 0
-    assert surd_sign(PHI_SQUARED - PHI - 1) == 0
-    assert surd_sign(Surd(Fraction(-11, 10), Fraction(1, 2))) == 1
-    assert surd_sign(Surd(Fraction(11, 10), Fraction(-1, 2))) == -1
-    assert surd_sign(SQRT5 - 2) == 1
-    assert surd_sign(SQRT5 - 3) == -1
+    assert Surd(Fraction(0), Fraction(0)).sign() == 0
+    assert (PHI * PHI - PHI - 1).sign() == 0
+    assert Surd(Fraction(-11, 10), Fraction(1, 2)).sign() == 1
+    assert Surd(Fraction(11, 10), Fraction(-1, 2)).sign() == -1
+    assert (SQRT5 - 2).sign() == 1
+    assert (SQRT5 - 3).sign() == -1
 
 
 def test_surd_sign_against_interval_oracle():
@@ -75,11 +73,11 @@ def test_surd_sign_against_interval_oracle():
 
 
 def test_surd_field_identities():
-    assert PHI * PHI == PHI_SQUARED
+    assert PHI * PHI == PHI + 1
     assert PHI * PHI_BAR == Surd.from_rational(-1)
     assert PHI + PHI_BAR == Surd.from_rational(1)
     assert PHI.inverse() == INV_PHI
-    assert (PHI_SQUARED).inverse() == INV_PHI_SQUARED
+    assert (PHI + 1).inverse() == INV_PHI_SQUARED
     assert INV_PHI + INV_PHI_SQUARED == Surd.from_rational(1)
     assert SQRT5 * SQRT5 == Surd.from_rational(5)
     assert (PHI / PHI) == Surd.from_rational(1)
@@ -96,16 +94,26 @@ def test_surd_rejects_floats():
         Surd(Fraction(1), 1.5)
 
 
+def test_rational_entry_points_reject_floats():
+    # 0.1 is not 1/10 in binary floating point; it must not leak in as a nearby rational
+    with pytest.raises(TypeError):
+        Surd.from_rational(0.1)
+    with pytest.raises(TypeError):
+        fraction_decimal(0.1, 20)
+    assert Surd.from_rational(Fraction(1, 10)) == Surd(Fraction(1, 10), 0)
+    assert fraction_decimal(Fraction(1, 10), 20) == "0.10000000000000000000"
+
+
 def test_surd_comparisons():
     assert PHI > 1
-    assert PHI < PHI_SQUARED
+    assert PHI < PHI + 1
     assert abs(-PHI) == PHI
     assert Surd.from_rational(Fraction(3, 2)) <= PHI
 
 
 def test_surd_floor():
     assert PHI.floor() == 1
-    assert PHI_SQUARED.floor() == 2
+    assert (PHI + 1).floor() == 2
     assert (-PHI).floor() == -2
     assert Surd.from_rational(Fraction(7, 2)).floor() == 3
     assert Surd.from_rational(-3).floor() == -3
@@ -150,7 +158,7 @@ def test_surd_operand_coercion():
     assert not 1 < one and 1 <= one and not Fraction(1) > one
     assert 2 - PHI == PHI_BAR * PHI_BAR
     assert 1 / PHI == INV_PHI and PHI / 1 == PHI
-    assert 3 * PHI == PHI * 3 == PHI + PHI + PHI and 1 + PHI == PHI_SQUARED
+    assert 3 * PHI == PHI * 3 == PHI + PHI + PHI and 1 + PHI == PHI + 1
     for bad in (0.5, "1", None):
         with pytest.raises(TypeError):
             PHI + bad
@@ -274,8 +282,8 @@ def test_surd_one_spelling_per_value():
     assert (halves.p, halves.q, halves.d) == (1, 1, 2)
     assert halves.a == Fraction(1, 2) and halves.b == Fraction(1, 2)
     assert Surd(Fraction(-6, -4), 0) == Surd.from_rational(Fraction(3, 2)) == Surd(3, 0) / 2
-    assert PHI_SQUARED - PHI == Surd(1, 0) and hash(PHI_SQUARED - PHI) == hash(Surd.from_rational(1))
-    assert len({PHI, halves, PHI * 1, INV_PHI + 1, PHI_SQUARED / PHI}) == 1
+    assert PHI + 1 - PHI == Surd(1, 0) and hash(PHI + 1 - PHI) == hash(Surd.from_rational(1))
+    assert len({PHI, halves, PHI * 1, INV_PHI + 1, (PHI + 1) / PHI}) == 1
     assert Surd(0, 0) == Surd(Fraction(0, 7), 0) and (Surd(0, 0).p, Surd(0, 0).d) == (0, 1)
 
 
@@ -302,7 +310,7 @@ def test_surd_pickle_copy_and_frozen():
 def test_surd_str_bytes():
     # recorded from the Fraction-pair Surd; payloads print these strings
     values = [
-        PHI, -PHI, PHI_BAR, SQRT5, INV_PHI, INV_PHI_SQUARED, PHI_SQUARED, PHI**10, PHI**-7, PHI**45,
+        PHI, -PHI, PHI_BAR, SQRT5, INV_PHI, INV_PHI_SQUARED, PHI + 1, PHI**10, PHI**-7, PHI**45,
         Surd(0, 0), Surd(Fraction(-3, 4), 0), Surd(0, Fraction(5, 7)), Surd(Fraction(2, 4), Fraction(3, 6)),
         Surd(-7, 3), INV_PHI_SQUARED * 1000, INV_PHI * -999, Surd(Fraction(10**30 + 1, 7), Fraction(-2, 21)),
         Surd(Fraction(1, 3), Fraction(1, 6)) * Surd(Fraction(-2, 5), Fraction(7, 10)), SQRT5.inverse(),
@@ -371,7 +379,7 @@ def test_beatty_floor_matches_surd_floor():
     for _ in range(300):
         n = rng.randint(1, 10**9)
         assert beatty_phi(n) == (PHI * n).floor()
-        assert beatty_phi2(n) == (PHI_SQUARED * n).floor()
+        assert beatty_phi2(n) == ((PHI + 1) * n).floor()
 
 
 def test_fib_lucas_examples():
@@ -431,9 +439,9 @@ def test_fib_lucas_reject_negative_indices():
 
 def test_zeckendorf_examples():
     assert zeckendorf_encode(0).bits == ()
-    assert zeckendorf_encode(1).indices() == (1,)
-    assert zeckendorf_encode(4).indices() == (1, 3)
-    assert zeckendorf_encode(100).indices() == (3, 5, 10)
+    assert zeckendorf_encode(1).bits == (1,)
+    assert zeckendorf_encode(4).bits == (1, 0, 1)
+    assert zeckendorf_encode(100).bits == (0, 0, 1, 0, 1, 0, 0, 0, 0, 1)
 
 
 def test_zeckendorf_roundtrip_and_invariant():

@@ -12,13 +12,11 @@ from fibword.goldenexact import (
 )
 from fibword.mechanical import (
     count_ones_upto,
-    count_zeros_upto,
     density_report,
     max_discrepancy,
     mechanical_prefix,
     morphic_mechanical_agree,
     ones_counts,
-    ones_deviation,
     verify_beatty_partition,
 )
 
@@ -61,20 +59,13 @@ def test_count_ones_matches_scan():
         assert count_ones_upto(n) == running
 
 
-def test_count_complement_identity():
-    # |count0(n) - n/phi| = |count1(n) - n/phi^2| as exact surds
-    for n in range(1, 10_001):
-        dev1 = ones_deviation(n)
-        dev0 = Surd.from_rational(count_zeros_upto(n)) - INV_PHI * n
-        assert dev0 == -dev1
-
-
 def test_density_report_examples():
     report = density_report(13)
     assert report.count1 == 5 and report.count0 == 8
     assert report.density1 == Fraction(5, 13)
     assert report.decimals()["density1"] == "0.384615"
     assert report.density0 + report.density1 == 1
+    assert report.deviation1 == 5 - INV_PHI_SQUARED * 13
 
     first = density_report(1)
     assert first.count1 == 0

@@ -1,5 +1,5 @@
+import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -11,15 +11,8 @@ from fibword.words import (
     Word,
     ab_word,
     binary_word,
-    concat,
-    contains_factor,
-    count_symbol,
     factor_set,
-    is_partition_word,
-    isolated_one_runs,
-    location_set,
     ultrametric_distance,
-    ultrametric_value,
 )
 
 PREFIX_13 = "0100101001001"
@@ -47,44 +40,6 @@ def test_word_validation():
     assert binary_word("0110")[1:3].text == "11"
 
 
-def test_concat_examples():
-    assert concat(ab_word(""), ab_word("ab")).text == "ab"
-    assert concat(ab_word("ab"), ab_word("a")).text == "aba"
-    assert concat(ab_word("abaab"), ab_word("aba")).text == "abaababa"
-
-
-def test_concat_alphabet_mismatch():
-    with pytest.raises(ValueError):
-        concat(ab_word("a"), binary_word("0"))
-
-
-def test_concat_monoid_laws_random():
-    rng = random.Random(101)
-    for _ in range(1000):
-        u, v, w = (
-            binary_word("".join(rng.choice("01") for _ in range(rng.randint(0, 12))))
-            for _ in range(3)
-        )
-        assert concat(concat(u, v), w) == concat(u, concat(v, w))
-    eps = binary_word("")
-    w = binary_word("0100101")
-    assert concat(eps, w) == w == concat(w, eps)
-
-
-def test_count_symbol_examples():
-    assert count_symbol(binary_word(PREFIX_13), "1") == 5
-    assert count_symbol(binary_word(""), "0") == 0
-    assert count_symbol(ab_word("abaab"), "a") == 3
-    with pytest.raises(ValueError):
-        count_symbol(binary_word("01"), "x")
-
-
-@given(binary_texts)
-def test_count_symbol_totals(text):
-    w = binary_word(text)
-    assert sum(count_symbol(w, s) for s in BINARY) == len(w)
-
-
 def test_factor_set_examples():
     two_factors = factor_set(binary_word(PREFIX_13), 2)
     assert {f.text for f in two_factors} == {"01", "10", "00"}
@@ -105,35 +60,6 @@ def test_factor_set_size_bound(text, n):
         assert len(factors) <= min(len(w) - n + 1, 2**n)
 
 
-def test_contains_factor():
-    w = binary_word(PREFIX_13)
-    assert not contains_factor(w, binary_word("11"))
-    assert contains_factor(w, binary_word("101"))
-    assert contains_factor(w, binary_word(""))
-
-
-def test_location_set_examples():
-    w = binary_word(PREFIX_13)
-    assert location_set(w, binary_word("00")) == [3, 8, 11]
-    assert location_set(w, w) == [1]
-    assert location_set(ab_word("aaa"), ab_word("a")) == [1, 2, 3]
-    with pytest.raises(ValueError):
-        location_set(w, binary_word(""))
-
-
-def test_location_set_overlapping_and_reextraction():
-    assert location_set(binary_word("11011"), binary_word("11")) == [1, 4]
-    rng = random.Random(7)
-    for _ in range(200):
-        text = "".join(rng.choice("01") for _ in range(rng.randint(1, 30)))
-        w = binary_word(text)
-        start = rng.randrange(len(text))
-        f = binary_word(text[start : start + rng.randint(1, 4)])
-        for m in location_set(w, f):
-            assert 1 <= m <= len(w) - len(f) + 1
-            assert w[m - 1 : m - 1 + len(f)] == f
-
-
 def test_ultrametric_examples():
     w = binary_word(PREFIX_13)
     assert ultrametric_distance(w, w) is None
@@ -141,6 +67,14 @@ def test_ultrametric_examples():
     assert ultrametric_distance(binary_word("0100101"), binary_word("0100100")) == 6
     # proper prefix rule
     assert ultrametric_distance(binary_word("010"), binary_word("01001")) == 3
+    with pytest.raises(ValueError):
+        ultrametric_distance(ab_word("a"), binary_word("0"))
+
+
+def exponent(u, v):
+    """The exponent n of d(u, v) = 2^-n, with distance zero (None) as +infinity."""
+    n = ultrametric_distance(u, v)
+    return math.inf if n is None else n
 
 
 def test_ultrametric_strong_triangle():
@@ -150,46 +84,5 @@ def test_ultrametric_strong_triangle():
         u, v, w = (
             binary_word("".join(rng.choice("01") for _ in range(n))) for _ in range(3)
         )
-        duw = ultrametric_value(u, w)
-        assert duw <= max(ultrametric_value(u, v), ultrametric_value(v, w))
-
-
-def test_ultrametric_value_encoding():
-    assert ultrametric_value(binary_word("01"), binary_word("01")) == Fraction(0)
-    assert ultrametric_value(binary_word("01"), binary_word("00")) == Fraction(1, 2)
-
-
-def test_partition_word_examples():
-    assert is_partition_word([1, 1, 2])
-    assert not is_partition_word([2, 1])
-    assert is_partition_word([1, 2, 1, 3])
-    # restricted growth rejects the gap even though both stated conditions pass
-    assert not is_partition_word([1, 3])
-    assert not is_partition_word([1, 0])
-    assert is_partition_word([])
-
-
-def test_partition_word_counts_small():
-    # restricted-growth sequences of length n are counted by the Bell numbers
-    from itertools import product
-
-    bell = [1, 1, 2, 5, 15, 52]
-    for n in range(1, 6):
-        count = sum(
-            1 for seq in product(range(1, n + 1), repeat=n) if is_partition_word(seq)
-        )
-        assert count == bell[n]
-
-
-def test_isolated_one_runs():
-    assert isolated_one_runs(binary_word("0110100")) == [2, 1]
-    assert isolated_one_runs(binary_word("1111")) == [4]
-    assert isolated_one_runs(binary_word("000")) == []
-    with pytest.raises(ValueError):
-        isolated_one_runs(ab_word("ab"))
-
-
-@given(binary_texts)
-def test_isolated_one_runs_total_ones(text):
-    w = binary_word(text)
-    assert sum(isolated_one_runs(w)) == count_symbol(w, "1")
+        # d = 2^-n, so d(u, w) <= max(d(u, v), d(v, w)) iff n(u, w) >= min(n(u, v), n(v, w))
+        assert exponent(u, w) >= min(exponent(u, v), exponent(v, w))

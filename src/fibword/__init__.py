@@ -57,7 +57,6 @@ from .mechanical import (
     verify_beatty_partition,
 )
 from .morphism import (
-    FixedPointStream,
     Morphism,
     apply,
     fibonacci_morphism,
@@ -78,7 +77,7 @@ from .words import (
 
 __all__ = [
     "AB", "ALL_CLAIM_IDS", "AlgebraElement", "Alphabet", "BINARY", "Budgets", "ClaimResult",
-    "DensityReport", "DensityRow", "FixedPointStream", "INV_PHI", "INV_PHI_SQUARED", "Morphism",
+    "DensityReport", "DensityRow", "INV_PHI", "INV_PHI_SQUARED", "Morphism",
     "PHI", "PHI_BAR", "REFUTED", "SQRT5", "Surd", "VERIFIED", "Word", "ZeckendorfRep", "ab_word",
     "alg_add", "alg_mul", "alg_scalar", "alpha_identity_check", "apply", "beatty_phi",
     "beatty_phi2", "binary_word", "check_pow_invariance", "count_ones_upto", "density_report",

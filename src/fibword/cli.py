@@ -230,9 +230,9 @@ def build_parser() -> _Parser:
         metavar="CLAIM_ID",
         help="run only this claim (repeatable)",
     )
-    p_claims.add_argument("--sweep-n", type=int, default=100_000)
-    p_claims.add_argument("--scan-n", type=int, default=10_000)
-    p_claims.add_argument("--ball-cases", type=int, default=10_000)
+    p_claims.add_argument("--sweep-n", type=int, default=Budgets.sweep_n)
+    p_claims.add_argument("--scan-n", type=int, default=Budgets.scan_n)
+    p_claims.add_argument("--ball-cases", type=int, default=Budgets.ball_cases)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""Substitutions on free monoids and lazy fixed-point expansion."""
+"""Substitutions on free monoids and prefixes of their fixed points."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ class Morphism:
     ) -> None:
         self.source = source
         self.target = target
-        table: dict[str, Word] = {}
+        table: dict[str, str] = {}
         for symbol in source.symbols:
             if symbol not in images:
                 raise ValueError(f"no image given for symbol {symbol!r}")
@@ -27,19 +27,19 @@ class Morphism:
                 image = Word(target, image)
             elif image.alphabet != target:
                 raise ValueError(f"image of {symbol!r} is not over the target alphabet")
-            table[symbol] = image
+            table[symbol] = image.text
         extra = set(images) - set(source.symbols)
         if extra:
             raise ValueError(f"images given for unknown symbols {sorted(extra)!r}")
-        self._images = table
+        self._images = table  # symbol -> image text, the one table `apply` reads
 
     def image(self, symbol: str) -> Word:
         if symbol not in self._images:
             raise ValueError(f"symbol {symbol!r} not in source alphabet")
-        return self._images[symbol]
+        return Word(self.target, self._images[symbol])
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{s}->{w.text}" for s, w in self._images.items())
+        body = ", ".join(f"{s}->{text}" for s, text in self._images.items())
         return f"Morphism({body})"
 
 
@@ -52,7 +52,7 @@ def apply(h: Morphism, w: Word) -> Word:
     """Concatenation of the images of w's letters, in order."""
     if w.alphabet != h.source:
         raise ValueError("word is not over the morphism's source alphabet")
-    return Word(h.target, "".join(h.image(c).text for c in w.text))
+    return Word(h.target, "".join(map(h._images.__getitem__, w.text)))
 
 
 def mortal_letters(h: Morphism) -> frozenset[str]:
@@ -89,41 +89,23 @@ def is_prolongable(h: Morphism, a: str) -> bool:
     return any(c not in mortal for c in remainder)
 
 
-class FixedPointStream:
-    """Lazy prefix generator for h^omega(a).
-
-    Keeps a produced-prefix buffer and a read cursor; each step appends the
-    image of the next unconsumed produced symbol, so only O(n) symbols are
-    ever materialized for a length-n prefix.  The cursor is mutable state:
-    one owner per stream, make separate streams for concurrent use.
-    """
-
-    def __init__(self, h: Morphism, a: str) -> None:
-        if not is_prolongable(h, a):
-            raise ValueError(f"morphism is not prolongable on {a!r}")
-        self._h = h
-        self._alphabet = h.source
-        self._buffer: list[str] = list(h.image(a).text)
-        self._cursor = 1
-
-    @property
-    def buffered(self) -> int:
-        return len(self._buffer)
-
-    def take(self, n: int) -> Word:
-        """The length-n prefix of the fixed point; extends the buffer as needed."""
-        if n < 1:
-            raise ValueError("prefix length must be >= 1")
-        buf = self._buffer
-        h = self._h
-        while len(buf) < n:
-            if self._cursor >= len(buf):
-                raise RuntimeError("fixed-point stream stalled (morphism not productive)")
-            buf.extend(h.image(buf[self._cursor]).text)
-            self._cursor += 1
-        return Word(self._alphabet, "".join(buf[:n]))
-
-
 def fixed_point_prefix(h: Morphism, a: str, n: int) -> Word:
-    """The length-n prefix of the infinite fixed point h^omega(a)."""
-    return FixedPointStream(h, a).take(n)
+    """The length-n prefix of the infinite fixed point h^omega(a).
+
+    With h(a) = a x, h^{k+1}(a) = h^k(a) h^k(x): each step appends the image
+    of the previous extension, so the morphism is applied to whole words and
+    every letter of the prefix is made once.  h^k(x) is never empty, because
+    x holds a letter that is not mortal, so the loop ends.
+    """
+    if not is_prolongable(h, a):
+        raise ValueError(f"morphism is not prolongable on {a!r}")
+    if n < 1:
+        raise ValueError("prefix length must be >= 1")
+    parts, length = [a], 1
+    extension = h.image(a)[1:]
+    while True:
+        parts.append(extension.text)
+        length += len(extension)
+        if length >= n:
+            return Word(h.source, "".join(parts)[:n])
+        extension = apply(h, extension)

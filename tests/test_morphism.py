@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from fibword.goldenexact import fib
 from fibword.morphism import (
-    FixedPointStream,
     Morphism,
     apply,
     fibonacci_morphism,
@@ -82,6 +81,11 @@ def test_fixed_point_prefix_examples():
         fixed_point_prefix(phi, "0", 0)
     with pytest.raises(ValueError):
         fixed_point_prefix(phi, "1", 5)
+    identity = Morphism(BINARY, BINARY, {"0": "0", "1": "1"})
+    dying = Morphism(BINARY, BINARY, {"0": "01", "1": ""})
+    for h, a in ((identity, "0"), (dying, "0"), (phi, "x")):
+        with pytest.raises(ValueError):
+            fixed_point_prefix(h, a, 5)
 
 
 def test_fixed_point_prefix_consistency():
@@ -91,6 +95,30 @@ def test_fixed_point_prefix_consistency():
     for _ in range(50):
         n = rng.randint(1, 2000)
         assert fixed_point_prefix(phi, "0", n).text == long[:n]
+
+
+def _stream_prefix(h, a, n):
+    """Reference: extend a buffer by the image of the letter under a cursor."""
+    buffer, cursor = list(h.image(a).text), 1
+    while len(buffer) < n:
+        buffer.extend(h.image(buffer[cursor]).text)
+        cursor += 1
+    return "".join(buffer[:n])
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        fibonacci_morphism(),
+        Morphism(BINARY, BINARY, {"0": "01", "1": "10"}),  # Thue-Morse
+        ternary_morphism(),
+        Morphism(TERNARY, TERNARY, {"0": "0212", "1": "10", "2": ""}),  # 2 is erased
+    ],
+    ids=["fibonacci", "thue-morse", "ternary", "erasing"],
+)
+def test_fixed_point_prefix_matches_letter_stream(h):
+    for n in (1, 2, 13, 1000, 10_000):
+        assert fixed_point_prefix(h, "0", n).text == _stream_prefix(h, "0", n)
 
 
 def test_fixed_point_law():
@@ -117,19 +145,3 @@ def test_iterate_lengths_follow_fibonacci():
         w = apply(phi, w)
         lengths.append(len(w))
     assert lengths == [fib(k + 2) for k in range(13)]
-
-
-def test_stream_is_lazy():
-    phi = fibonacci_morphism()
-    stream = FixedPointStream(phi, "0")
-    max_image = max(len(phi.image(s)) for s in BINARY)
-    for n in (1, 10, 500, 4321):
-        stream.take(n)
-        assert stream.buffered <= n + max_image
-
-
-def test_stream_prefixes_monotone():
-    stream = FixedPointStream(fibonacci_morphism(), "0")
-    a = stream.take(5).text
-    b = stream.take(55).text
-    assert b.startswith(a)

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Mapping
+
+from ._frozen import Frozen
 
 VERIFIED = "verified"
 REFUTED = "refuted"
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(Frozen):
     """Outcome of checking one quantitative statement.
 
     `witness` is human-readable exact data: for a refutation, a concrete
@@ -18,17 +18,15 @@ class ClaimResult:
     `payload` holds the same information in structured, JSON-ready form.
     """
 
-    id: str
-    location: str
-    status: str
-    witness: str
-    payload: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.status not in (VERIFIED, REFUTED):
+    def __init__(
+        self, id: str, location: str, status: str, witness: str, payload: Mapping[str, Any] | None = None
+    ) -> None:
+        if status not in (VERIFIED, REFUTED):
             raise ValueError(f"status must be {VERIFIED!r} or {REFUTED!r}")
-        if not self.witness:
+        if not witness:
             raise ValueError("a claim result must carry witness text")
+        payload = {} if payload is None else payload
+        self.__dict__.update(id=id, location=location, status=status, witness=witness, payload=payload)
 
     @property
     def verified(self) -> bool:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import Frozen
 from .claimresult import ClaimResult, refuted, verified
 from .derived import (
     FAMILIES,
@@ -73,18 +73,14 @@ PUBLISHED_DENSITY_TABLE = (
 )
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(Frozen):
     """The sweep bounds the CLI sets; all checks are exact within them.
 
     Every other bound is a literal in `REGISTRY`.
     """
 
-    sweep_n: int = 100_000
-    scan_n: int = 10_000
-    ball_cases: int = 10_000
-
-    def __post_init__(self) -> None:
+    def __init__(self, sweep_n: int = 100_000, scan_n: int = 10_000, ball_cases: int = 10_000) -> None:
+        self.__dict__.update(sweep_n=sweep_n, scan_n=scan_n, ball_cases=ball_cases)
         for name, minimum in (("sweep_n", 1), ("scan_n", 3), ("ball_cases", 1)):
             value = getattr(self, name)
             if value < minimum:

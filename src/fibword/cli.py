@@ -8,20 +8,17 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
 from . import __version__
-from .claims import Budgets, run_claims
-from .derived import density_table, fib_word_ab, q_word, y_word
-from .goldenexact import beatty_pairs
-from .mechanical import density_report, mechanical_prefix
-from .morphism import fibonacci_morphism, fixed_point_prefix
+
+# The layers are imported inside the commands that use them, so a request
+# loads only the modules it runs and start-up stays short.
 
 FORMATS = ("text", "csv", "json")
 GEN_KINDS = ("morphic", "mechanical", "y", "q", "fibab")
+GEN_MAX_LETTERS = 10**7  # the longest word `gen` builds; F(36) > 10**7, so y stops at index 33
+BUDGET_FLAGS = ("sweep_n", "scan_n", "ball_cases")
 SCHEMA_VERSION = 1
 
 
@@ -34,6 +31,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -42,21 +42,40 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 
 def _json_text(document: dict) -> str:
+    import json
+
     return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _word_length(kind: str, index: int) -> int:
+    """Letters in the word `gen KIND INDEX` asks for, from the closed forms, building nothing."""
+    if kind in ("morphic", "mechanical"):
+        return index
+    from .goldenexact import fib
+
+    # F(101) is far past the cap, so clamp before calling fib; a negative index keeps its own error.
+    k = max(0, min(index, 100))
+    if kind == "y":  # |y_k| = F(k+2)
+        return fib(k + 2)
+    if kind == "q":  # |q_k| = F(k+2) + 2
+        return fib(k + 2) + 2
+    return fib(k + 1)  # fibab: |fw_k| = F(k+1)
+
+
 def _generate_word(kind: str, index: int) -> str:
+    if _word_length(kind, index) > GEN_MAX_LETTERS:
+        raise ValueError(f"gen {kind} {index} would make more than {GEN_MAX_LETTERS} letters")
     if kind == "morphic":
+        from .morphism import fibonacci_morphism, fixed_point_prefix
+
         return fixed_point_prefix(fibonacci_morphism(), "0", index).text
     if kind == "mechanical":
+        from .mechanical import mechanical_prefix
+
         return mechanical_prefix(index).text
-    if kind == "y":
-        return y_word(index).text
-    if kind == "q":
-        return q_word(index).text
-    if kind == "fibab":
-        return fib_word_ab(index).text
-    raise ValueError(f"unknown word kind {kind!r}")
+    from .derived import fib_word_ab, q_word, y_word
+
+    return {"y": y_word, "q": q_word, "fibab": fib_word_ab}[kind](index).text
 
 
 def _cmd_gen(args: argparse.Namespace) -> str:
@@ -77,6 +96,8 @@ def _cmd_gen(args: argparse.Namespace) -> str:
 
 
 def _cmd_density(args: argparse.Namespace) -> str:
+    from .mechanical import density_report
+
     report = density_report(args.n)
     decimals = report.decimals(args.places)
     sign = report.deviation1.sign()
@@ -124,6 +145,8 @@ def _cmd_density(args: argparse.Namespace) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> str:
+    from .derived import density_table
+
     if args.rows < 1:
         raise ValueError("table needs at least one row")
     header = ["m", "dens_a_q", "dens_b_q", "dens_a_y", "dens_b_y"]
@@ -146,6 +169,8 @@ def _cmd_table(args: argparse.Namespace) -> str:
 
 
 def _cmd_beatty(args: argparse.Namespace) -> str:
+    from .goldenexact import beatty_pairs
+
     if args.n < 1:
         raise ValueError("beatty needs n >= 1")
     header = ["n", "f1", "f2"]
@@ -165,7 +190,9 @@ def _cmd_beatty(args: argparse.Namespace) -> str:
 
 
 def _cmd_claims(args: argparse.Namespace) -> str:
-    budgets = Budgets(sweep_n=args.sweep_n, scan_n=args.scan_n, ball_cases=args.ball_cases)
+    from .claims import Budgets, run_claims
+
+    budgets = Budgets(**{name: value for name, value in vars(args).items() if name in BUDGET_FLAGS})
     records = [r.record() for r in run_claims(args.ids, budgets)]
     if args.format == "text":
         blocks = []
@@ -177,6 +204,8 @@ def _cmd_claims(args: argparse.Namespace) -> str:
             )
         return "\n\n".join(blocks) + "\n"
     if args.format == "csv":
+        import json
+
         header = ["id", "location", "status", "witness", "payload"]
         rows = [
             [
@@ -230,9 +259,8 @@ def build_parser() -> _Parser:
         metavar="CLAIM_ID",
         help="run only this claim (repeatable)",
     )
-    p_claims.add_argument("--sweep-n", type=int, default=Budgets.sweep_n)
-    p_claims.add_argument("--scan-n", type=int, default=Budgets.scan_n)
-    p_claims.add_argument("--ball-cases", type=int, default=Budgets.ball_cases)
+    for name in BUDGET_FLAGS:  # an unset flag leaves its Budgets default
+        p_claims.add_argument("--" + name.replace("_", "-"), type=int, default=argparse.SUPPRESS)
     return parser
 
 

@@ -17,10 +17,10 @@ Letter counts follow Fibonacci closed forms in classical indexing
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
+from ._frozen import Frozen
 from .goldenexact import fib, fraction_decimal
 from .words import AB, Word
 
@@ -91,15 +91,15 @@ def df_density(k: int) -> Fraction:
     return Fraction(fib(k), fib(k + 1))
 
 
-@dataclass(frozen=True)
-class DensityRow:
+class DensityRow(Frozen):
     """One row of the density table, exact rationals per family."""
 
-    m: int
-    dens_a_q: Fraction
-    dens_b_q: Fraction
-    dens_a_y: Fraction
-    dens_b_y: Fraction
+    def __init__(
+        self, m: int, dens_a_q: Fraction, dens_b_q: Fraction, dens_a_y: Fraction, dens_b_y: Fraction
+    ) -> None:
+        self.__dict__.update(
+            m=m, dens_a_q=dens_a_q, dens_b_q=dens_b_q, dens_a_y=dens_a_y, dens_b_y=dens_b_y
+        )
 
     def rendered(self, places: int = 6) -> tuple[str, str, str, str]:
         return (

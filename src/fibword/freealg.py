@@ -7,9 +7,9 @@ rendering are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from ._frozen import Frozen
 from .claimresult import ClaimResult, refuted, verified
 from .derived import fib_word_ab
 from .words import AB, Alphabet, Word
@@ -19,12 +19,11 @@ def _term_key(w: Word) -> tuple[int, str]:
     return (len(w), w.text)
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(Frozen):
     """A formal sum of words; terms are (word, nonzero coefficient) pairs."""
 
-    alphabet: Alphabet
-    terms: tuple[tuple[Word, int], ...]
+    def __init__(self, alphabet: Alphabet, terms: tuple[tuple[Word, int], ...]) -> None:
+        self.__dict__.update(alphabet=alphabet, terms=terms)
 
     @staticmethod
     def build(alphabet: Alphabet, coefficients: Mapping[Word, int]) -> "AlgebraElement":

@@ -12,9 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
+
+from ._frozen import Frozen
 
 RationalLike = Union[int, Fraction]
 
@@ -49,7 +50,6 @@ def _surd(p: int, q: int, d: int) -> Surd:
     if d < 0:
         g = -g
     s = object.__new__(Surd)
-    # Written into the instance dict, past the frozen dataclass's __setattr__.
     s.__dict__.update(p=p // g, q=q // g, d=d // g)
     return s
 
@@ -68,17 +68,12 @@ def _surd_operand(method):
     return coerced
 
 
-@dataclass(frozen=True, init=False)
-class Surd:
+class Surd(Frozen):
     """Exact element a + b*sqrt(5) of Q(sqrt 5), built as Surd(a, b) from rationals a, b.
 
     Stored as integers (p + q*sqrt(5))/d with gcd(p, q, d) = 1 and d > 0, so
     each value has one spelling and equality and hashing are field-wise.
     """
-
-    p: int
-    q: int
-    d: int
 
     def __init__(self, a: RationalLike, b: RationalLike) -> None:
         if isinstance(a, float) or isinstance(b, float):
@@ -87,6 +82,9 @@ class Surd:
         den = a.denominator * b.denominator
         reduced = _surd(a.numerator * b.denominator, b.numerator * a.denominator, den)
         self.__dict__.update(reduced.__dict__)
+
+    def __hash__(self) -> int:  # the field-tuple hash, spelled out: Surds are the kernel's numbers
+        return hash((self.p, self.q, self.d))
 
     @staticmethod
     def from_rational(x: RationalLike) -> "Surd":
@@ -277,19 +275,16 @@ def lucas(n: int) -> int:
 # -- Zeckendorf representation -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeckendorfRep:
+class ZeckendorfRep(Frozen):
     """Bit sequence r_1 r_2 ... with value sum_i r_i F(i+1).
 
     No two adjacent 1s; the last stored bit is 1 (the empty sequence
     represents zero).
     """
 
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        bits = tuple(self.bits)
-        object.__setattr__(self, "bits", bits)
+    def __init__(self, bits: Sequence[int]) -> None:
+        bits = tuple(bits)
+        self.__dict__.update(bits=bits)
         if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be 0 or 1")
         if any(x == 1 and y == 1 for x, y in zip(bits, bits[1:])):

@@ -8,9 +8,9 @@ labelling.  Counts, densities and discrepancies are all exact.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._frozen import Frozen
 from .claimresult import ClaimResult, refuted, verified
 from .goldenexact import (
     INV_PHI_SQUARED,
@@ -63,17 +63,28 @@ def ones_counts(limit: int) -> Iterator[int]:
         yield count1
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Frozen):
     """Exact symbol statistics for a length-n prefix."""
 
-    n: int
-    count0: int
-    count1: int
-    density0: Fraction
-    density1: Fraction
-    target1: Surd
-    deviation1: Surd
+    def __init__(
+        self,
+        n: int,
+        count0: int,
+        count1: int,
+        density0: Fraction,
+        density1: Fraction,
+        target1: Surd,
+        deviation1: Surd,
+    ) -> None:
+        self.__dict__.update(
+            n=n,
+            count0=count0,
+            count1=count1,
+            density0=density0,
+            density1=density1,
+            target1=target1,
+            deviation1=deviation1,
+        )
 
     def decimals(self, places: int = 6) -> dict[str, str]:
         """Decimal renderings by exact digit extraction (round-half-even)."""

@@ -6,20 +6,19 @@ be shared freely between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+
+from ._frozen import Frozen
 
 MAX_ALPHABET_SIZE = 10
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Frozen):
     """Ordered alphabet of 2 to 10 distinct printable characters."""
 
-    symbols: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        symbols = tuple(self.symbols)
-        object.__setattr__(self, "symbols", symbols)
+    def __init__(self, symbols: Iterable[str]) -> None:
+        symbols = tuple(symbols)
+        self.__dict__.update(symbols=symbols)
         if not 2 <= len(symbols) <= MAX_ALPHABET_SIZE:
             raise ValueError(
                 f"alphabet must have 2..{MAX_ALPHABET_SIZE} symbols, got {len(symbols)}"
@@ -29,6 +28,9 @@ class Alphabet:
         for s in symbols:
             if len(s) != 1 or not s.isprintable():
                 raise ValueError(f"alphabet symbols must be single printable characters, got {s!r}")
+
+    def __hash__(self) -> int:  # the field-tuple hash, spelled out: Words hash their alphabet
+        return hash((self.symbols,))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -44,17 +46,20 @@ BINARY = Alphabet(("0", "1"))
 AB = Alphabet(("a", "b"))
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """A finite word; `text` holds one character per letter."""
 
-    alphabet: Alphabet
-    text: str
+    def __init__(self, alphabet: Alphabet, text: str) -> None:
+        self.__dict__.update(alphabet=alphabet, text=text)
+        self.__post_init__()  # a method of its own: perfbench/tracer.py counts Words by rebinding it
 
     def __post_init__(self) -> None:
         bad = set(self.text) - set(self.alphabet.symbols)
         if bad:
             raise ValueError(f"letters {sorted(bad)!r} not in alphabet")
+
+    def __hash__(self) -> int:  # the field-tuple hash, spelled out: Words key sets and dicts
+        return hash((self.alphabet, self.text))
 
     def __len__(self) -> int:
         return len(self.text)

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from fibword import cli
 from fibword.cli import main
+from fibword.goldenexact import fib
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +52,49 @@ def test_gen_unknown_kind(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "invalid choice" in captured.err
+
+
+# (kind, largest index within the cap, letters it makes): |y_k| = F(k+2),
+# |q_k| = F(k+2) + 2, |fw_k| = F(k+1), and F(35) = 9227465 <= 10**7 < F(36).
+GEN_CAP_EDGES = [
+    ("morphic", 10**7, 10**7),
+    ("mechanical", 10**7, 10**7),
+    ("y", 33, fib(35)),
+    ("q", 33, fib(35) + 2),
+    ("fibab", 34, fib(35)),
+]
+
+
+@pytest.mark.parametrize("kind, index, letters", GEN_CAP_EDGES)
+def test_gen_cap_checked_before_building(capsys, monkeypatch, kind, index, letters):
+    def unreachable(*args):
+        raise RuntimeError("word construction reached")
+
+    makers = ("morphism.fixed_point_prefix", "mechanical.mechanical_prefix", "derived.y_word",
+                "derived.q_word", "derived.fib_word_ab")
+    for target in makers:
+        monkeypatch.setattr(f"fibword.{target}", unreachable)
+    assert cli.GEN_MAX_LETTERS == 10**7
+    reached = (2, "", "fibword: internal error: word construction reached\n")
+    over = f"fibword: error: gen {kind} {index + 1} would make more than 10000000 letters\n"
+    assert run_cli(capsys, "gen", kind, str(index)) == reached
+    assert run_cli(capsys, "gen", kind, str(index + 1)) == (1, "", over)
+    assert run_cli(capsys, "gen", kind, str(10**30))[0] == 1
+    monkeypatch.setattr(cli, "GEN_MAX_LETTERS", letters)  # the cap itself, then cap + 1 letters
+    assert run_cli(capsys, "gen", kind, str(index)) == reached
+    monkeypatch.setattr(cli, "GEN_MAX_LETTERS", letters - 1)
+    over = f"fibword: error: gen {kind} {index} would make more than {letters - 1} letters\n"
+    assert run_cli(capsys, "gen", kind, str(index)) == (1, "", over)
+
+
+def test_gen_cap_keeps_index_errors(capsys):
+    for argv, message in [
+        (["gen", "y", "-1"], "y-word index must be >= 0"),
+        (["gen", "q", "0"], "framed-word index must be >= 1"),
+        (["gen", "fibab", "-5"], "Fibonacci word index must be >= 1"),
+        (["gen", "morphic", "0"], "prefix length must be >= 1"),
+    ]:
+        assert run_cli(capsys, *argv) == (1, "", f"fibword: error: {message}\n")
 
 
 def test_density_text_and_json(capsys):

@@ -6,6 +6,10 @@ If an output change is intended, regenerate the digests and say why.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -89,3 +93,39 @@ def test_golden_usage_errors(capsys, argv, stderr):
     assert code == 1
     assert captured.out == ""
     assert captured.err == stderr
+
+
+# The same requests through `python -m fibword.cli` in a fresh interpreter:
+# runpy imports the package as a shell user's request does, which `main()`
+# called in-process above never exercises.
+SRC = Path(__file__).resolve().parent.parent / "src"
+CLAIMS_HELP_SHA256 = (  # argparse wraps the usage line differently from Python 3.13 on
+    "8762bafc4c5d6636c11137c51d943e41635da5cc35ce7e1a8f2267f6248f48f8"
+    if sys.version_info < (3, 13)
+    else "c916c2edf3825d991ef1bf193d09a7b12ef9c8849df93932d758e6520615c305"
+)
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+SPAWNED = [  # (argv, exit code, stderr, stdout sha256)
+    *[(REQUESTS[name] + ["--format", "json"], 0, "", STDOUT_SHA256[(name, "json")]) for name in REQUESTS],
+    (["--version"], 0, "", "cfd4bde549d5b8d8819aa38e23139e17b908a769c3c4c735ecd17084be0f50c5"),
+    (["claims", "--help"], 0, "", CLAIMS_HELP_SHA256),
+    (
+        ["gen", "morphic", "x"],
+        1,
+        "usage: fibword gen [-h] [--format {text,csv,json}] [--out OUT]\n"
+        "                   {morphic,mechanical,y,q,fibab} index\n"
+        "fibword gen: error: argument index: invalid int value: 'x'\n",
+        EMPTY_SHA256,
+    ),
+    (["claims", "--id", "nope"], 1, "fibword: error: unknown claim id(s): nope\n", EMPTY_SHA256),
+]
+
+
+@pytest.mark.parametrize("argv, code, stderr, digest", SPAWNED, ids=[" ".join(s[0]) for s in SPAWNED])
+def test_golden_spawned(argv, code, stderr, digest):
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-m", "fibword.cli", *argv], capture_output=True, env=env, timeout=120
+    )
+    assert (done.returncode, done.stderr.decode("utf-8")) == (code, stderr)
+    assert hashlib.sha256(done.stdout).hexdigest() == digest

@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import fibword
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SUBMODULES = {f"fibword.{path.stem}" for path in (SRC / "fibword").glob("*.py")} - {"fibword.__init__"}
 
 
 def test_all_lists_exactly_the_public_names():
@@ -13,3 +22,34 @@ def test_all_lists_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert sorted(fibword.__all__) == sorted(public)
+
+
+def _modules_loaded_after(code: str) -> set[str]:
+    """Modules in sys.modules after running `code` in a fresh interpreter without site."""
+    script = f"import sys\n{code}\nsys.stderr.write(' '.join(sys.modules))\n"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stderr.split())
+
+
+@pytest.mark.parametrize(
+    "code, unwanted",
+    [
+        ("import fibword", SUBMODULES),
+        ("import fibword.cli", {"dataclasses", "fractions", "json", "csv", "fibword.claims"}),
+        (
+            "import fibword.cli\nfibword.cli.main(['gen', 'morphic', '10'])",
+            {"fibword.claims", "fibword.freealg", "fractions"},
+        ),
+    ],
+)
+def test_each_request_imports_only_what_it_uses(code, unwanted):
+    loaded = _modules_loaded_after(code)
+    assert "fibword" in loaded and "fibword.goldenexact" in SUBMODULES
+    assert loaded & unwanted == set()

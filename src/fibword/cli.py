@@ -20,6 +20,22 @@ GEN_KINDS = ("morphic", "mechanical", "y", "q", "fibab")
 GEN_MAX_LETTERS = 10**7  # the longest word `gen` builds; F(36) > 10**7, so y stops at index 33
 BUDGET_FLAGS = ("sweep_n", "scan_n", "ball_cases")
 SCHEMA_VERSION = 1
+BEATTY_MAX_N = 10**6  # rows `beatty` prints at most; 72 MB of JSON at the cap
+DENSITY_MAX_DIGITS = 2000  # `density` n < 10**2000; with the places cap every rendered integer has < 4300 digits
+DENSITY_MAX_PLACES = 2000
+
+# `beatty` rows (n, floor(n*phi), floor(n*phi^2)) as (head, row template, separator, tail): the
+# bytes csv.writer and json.dumps(indent=2, sort_keys=True) write, with no row lists or dicts built.
+_BEATTY_LAYOUT = {
+    "text": ("", "{} {} {}", "\n", "\n"),
+    "csv": ("n,f1,f2\n", "{},{},{}", "\n", "\n"),
+    "json": (
+        '{\n  "command": "beatty",\n  "rows": [\n',
+        '    {{\n      "f1": {1},\n      "f2": {2},\n      "n": {0}\n    }}',
+        ",\n",
+        f'\n  ],\n  "schema_version": {SCHEMA_VERSION}\n}}\n',
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,6 +112,10 @@ def _cmd_gen(args: argparse.Namespace) -> str:
 
 
 def _cmd_density(args: argparse.Namespace) -> str:
+    if args.n >= 10**DENSITY_MAX_DIGITS:
+        raise ValueError(f"density needs n < 10**{DENSITY_MAX_DIGITS}")
+    if args.places > DENSITY_MAX_PLACES:
+        raise ValueError(f"density prints at most {DENSITY_MAX_PLACES} places")
     from .mechanical import density_report
 
     report = density_report(args.n)
@@ -169,24 +189,18 @@ def _cmd_table(args: argparse.Namespace) -> str:
 
 
 def _cmd_beatty(args: argparse.Namespace) -> str:
-    from .goldenexact import beatty_pairs
-
     if args.n < 1:
         raise ValueError("beatty needs n >= 1")
-    header = ["n", "f1", "f2"]
-    pairs = zip(range(1, args.n + 1), beatty_pairs())
-    rows = [[str(n), str(f1), str(f2)] for n, (f1, f2) in pairs]
-    if args.format == "csv":
-        return _csv_text(header, rows)
-    if args.format == "text":
-        return "\n".join(" ".join(cells) for cells in rows) + "\n"
-    return _json_text(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "beatty",
-            "rows": [{"n": int(a), "f1": int(b), "f2": int(c)} for a, b, c in rows],
-        }
-    )
+    if args.n > BEATTY_MAX_N:
+        raise ValueError(f"beatty prints at most {BEATTY_MAX_N} rows")
+    from operator import add
+
+    from .goldenexact import beatty_floors
+
+    head, row, separator, tail = _BEATTY_LAYOUT[args.format]
+    indices = range(1, args.n + 1)
+    floors = beatty_floors(1, args.n + 1)
+    return head + separator.join(map(row.format, indices, floors, map(add, indices, floors))) + tail
 
 
 def _cmd_claims(args: argparse.Namespace) -> str:
@@ -285,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fibword: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure contract
-        print(f"fibword: internal error: {exc}", file=sys.stderr)
+        print(f"fibword: internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     if args.out:
         try:

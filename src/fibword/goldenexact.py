@@ -10,10 +10,9 @@ extraction from exact values.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from ._frozen import Frozen
 
@@ -225,11 +224,14 @@ def beatty_phi2(n: int) -> int:
     return n + beatty_phi(n)
 
 
-def beatty_pairs() -> Iterator[tuple[int, int]]:
-    """(floor(m*phi), floor(m*phi^2)) for m = 1, 2, ...; both from one beatty_phi call."""
-    for m in itertools.count(1):
-        low = beatty_phi(m)
-        yield low, low + m
+def beatty_floors(start: int, stop: int) -> list[int]:
+    """[floor(m * phi) for start <= m < stop], exactly as beatty_phi computes each one.
+
+    Every Beatty sweep reads this one list; floor(m * phi^2) is m more.
+    """
+    if start < 1:
+        raise ValueError("Beatty index must be >= 1")
+    return [(m + isqrt(5 * m * m)) >> 1 for m in range(start, stop)]
 
 
 # -- Fibonacci and Lucas numbers ----------------------------------------------

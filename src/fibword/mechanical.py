@@ -9,13 +9,15 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
+from itertools import accumulate
 
 from ._frozen import Frozen
 from .claimresult import ClaimResult, refuted, verified
 from .goldenexact import (
     INV_PHI_SQUARED,
     Surd,
-    beatty_pairs,
+    beatty_floors,
+    beatty_phi,
     fraction_decimal,
     int_surd_sign,
     isqrt,
@@ -25,18 +27,23 @@ from .morphism import fibonacci_morphism, fixed_point_prefix
 from .words import BINARY, Word
 
 
+_CHUNK = 1 << 14  # floors per beatty_floors call, so a sweep's working list stays this long
+
+
+def _beatty_sweep(stop: int) -> Iterator[tuple[int, int]]:
+    """(m, floor(m*phi)) for 1 <= m < stop, from beatty_floors one chunk at a time."""
+    for start in range(1, stop, _CHUNK):
+        yield from enumerate(beatty_floors(start, min(start + _CHUNK, stop)), start)
+
+
 def mechanical_prefix(n: int) -> Word:
-    """Length-n prefix of the Fibonacci word, by merging the two Beatty streams."""
+    """Length-n prefix of the Fibonacci word: 1s at floor(m*phi^2) = m + floor(m*phi), 0s elsewhere."""
     if n < 1:
         raise ValueError("prefix length must be >= 1")
-    cells: list[str] = [""] * n
-    for zero_at, one_at in beatty_pairs():
-        if zero_at > n:
-            break
-        cells[zero_at - 1] = "0"
-        if one_at <= n:
-            cells[one_at - 1] = "1"
-    return Word(BINARY, "".join(cells))
+    letters = bytearray(b"0") * n
+    for m, low in _beatty_sweep(count_ones_upto(n) + 1):
+        letters[m + low - 1] = 49  # "1"
+    return Word(BINARY, letters.decode())
 
 
 def count_ones_upto(n: int) -> int:
@@ -51,16 +58,12 @@ def count_ones_upto(n: int) -> int:
     return (3 * big_n - isqrt(5 * big_n * big_n) - 1) // 2
 
 
+_LETTER_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def ones_counts(limit: int) -> Iterator[int]:
-    """count_ones_upto(n) for n = 1 .. limit, in order, from the stream of ones positions."""
-    pairs = beatty_pairs()
-    upcoming = next(pairs)[1]
-    count1 = 0
-    for n in range(1, limit + 1):
-        if n == upcoming:
-            count1 += 1
-            upcoming = next(pairs)[1]
-        yield count1
+    """count_ones_upto(n) for n = 1 .. limit, in order: running sums over the mechanical prefix."""
+    return accumulate(mechanical_prefix(limit).text.encode().translate(_LETTER_VALUES))
 
 
 class DensityReport(Frozen):
@@ -144,12 +147,11 @@ def verify_beatty_partition(limit: int) -> ClaimResult:
     if limit < 1:
         raise ValueError("sweep bound must be >= 1")
     hits = bytearray(limit + 1)
-    for zero_at, one_at in beatty_pairs():
-        if zero_at > limit:
-            break
+    # floor(m*phi) <= limit iff m < (limit + 1)/phi, i.e. m <= floor((limit + 1)*phi) - (limit + 1)
+    for m, zero_at in _beatty_sweep(beatty_phi(limit + 1) - limit):
         hits[zero_at] += 1
-        if one_at <= limit:
-            hits[one_at] += 1
+        if zero_at + m <= limit:
+            hits[zero_at + m] += 1
     for k in range(1, limit + 1):
         if hits[k] != 1:
             return refuted(

@@ -1,10 +1,13 @@
+import csv
+import io
 import json
+import re
 
 import pytest
 
 from fibword import cli
 from fibword.cli import main
-from fibword.goldenexact import fib
+from fibword.goldenexact import beatty_phi, beatty_phi2, fib
 
 
 def run_cli(capsys, *argv):
@@ -152,8 +155,6 @@ def test_table_json_strings(capsys):
 
 
 def test_table_cells_fixed_point(capsys):
-    import re
-
     _, out, _ = run_cli(capsys, "table", "--rows", "20", "--format", "csv")
     assert "\r" not in out
     for line in out.splitlines()[1:]:
@@ -176,6 +177,77 @@ def test_beatty_rows(capsys):
     assert out.splitlines()[-1] == "30,48,78"
     code, out, _ = run_cli(capsys, "beatty", "1", "--format", "json")
     assert json.loads(out)["rows"] == [{"n": 1, "f1": 1, "f2": 2}]
+
+
+def _beatty_reference(n: int, fmt: str) -> str:
+    """`beatty n` as csv.writer and json.dumps write it, from the random-access floors."""
+    rows = [(m, beatty_phi(m), beatty_phi2(m)) for m in range(1, n + 1)]
+    if fmt == "text":
+        return "".join(f"{m} {f1} {f2}\n" for m, f1, f2 in rows)
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["n", "f1", "f2"])
+        writer.writerows(rows)
+        return buffer.getvalue()
+    document = {
+        "schema_version": 1,
+        "command": "beatty",
+        "rows": [{"n": m, "f1": f1, "f2": f2} for m, f1, f2 in rows],
+    }
+    return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_beatty_rows_match_encoder_reference(capsys, fmt):
+    for n in [*range(1, 41), 2000]:
+        assert run_cli(capsys, "beatty", str(n), "--format", fmt) == (0, _beatty_reference(n, fmt), "")
+
+
+def _unreachable(*args):
+    raise RuntimeError("builder reached")
+
+
+REACHED = (2, "", "fibword: internal error: builder reached\n")
+
+
+def test_beatty_cap_checked_before_building(capsys, monkeypatch):
+    monkeypatch.setattr("fibword.goldenexact.beatty_floors", _unreachable)
+    assert cli.BEATTY_MAX_N == 10**6
+    over = (1, "", "fibword: error: beatty prints at most 1000000 rows\n")
+    for fmt in cli.FORMATS:
+        assert run_cli(capsys, "beatty", str(10**6), "--format", fmt) == REACHED
+        assert run_cli(capsys, "beatty", str(10**6 + 1), "--format", fmt) == over
+    assert run_cli(capsys, "beatty", str(10**30)) == over
+
+
+def test_density_caps_checked_before_building(capsys, monkeypatch):
+    monkeypatch.setattr("fibword.mechanical.density_report", _unreachable)
+    assert (cli.DENSITY_MAX_DIGITS, cli.DENSITY_MAX_PLACES) == (2000, 2000)
+    top = str(10**2000 - 1)
+    assert run_cli(capsys, "density", top, "--places", "2000") == REACHED
+    big_n = (1, "", "fibword: error: density needs n < 10**2000\n")
+    # 10**4295 has 4296 digits, just inside the interpreter's int-to-str limit of 4300
+    for n in (10**2000, 10**4295):
+        assert run_cli(capsys, "density", str(n)) == big_n
+    many_places = (1, "", "fibword: error: density prints at most 2000 places\n")
+    for places in ("2001", "4300"):
+        assert run_cli(capsys, "density", "13", "--places", places) == many_places
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_density_served_at_its_caps(capsys, fmt):
+    code, out, err = run_cli(capsys, "density", str(10**2000 - 1), "--places", "2000", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert re.search(r"\b0\.3819660112501051\d{1984}\b", out)  # density1 ~ 1/phi^2 to 2000 places
+
+
+def test_internal_error_without_message_names_its_type(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr("fibword.goldenexact.beatty_floors", exhausted)
+    assert run_cli(capsys, "beatty", "5", "--format", "json") == (2, "", "fibword: internal error: MemoryError\n")
 
 
 def test_claims_single_id(capsys):

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from fibword import mechanical
 from fibword.goldenexact import (
     INV_PHI,
     INV_PHI_SQUARED,
     Surd,
-    beatty_pairs,
+    beatty_floors,
     beatty_phi,
     beatty_phi2,
 )
@@ -19,6 +20,7 @@ from fibword.mechanical import (
     ones_counts,
     verify_beatty_partition,
 )
+from fibword.morphism import fibonacci_morphism, fixed_point_prefix
 
 PREFIX_13 = "0100101001001"
 
@@ -135,6 +137,24 @@ def test_beatty_partition_claims():
     assert set(record) == {"id", "location", "status", "witness", "payload"}
 
 
+@pytest.mark.parametrize(
+    "corrupt, first_bad_k, hit_count",
+    [
+        # floor(9 phi) = 14 twice: 14 is hit twice and floor(10 phi) = 16 never
+        (lambda floors: floors[:9] + [floors[8]] + floors[10:], 14, 2),
+        # floor(40 phi) = 64 dropped: 64 is hit by no m
+        (lambda floors: floors[:39] + floors[40:], 64, 0),
+    ],
+)
+def test_beatty_partition_reports_first_bad_k(monkeypatch, corrupt, first_bad_k, hit_count):
+    monkeypatch.setattr(mechanical, "beatty_floors", lambda start, stop: corrupt(beatty_floors(start, stop)))
+    result = verify_beatty_partition(200)
+    assert result.status == "refuted"
+    assert result.payload["first_bad_k"] == first_bad_k
+    assert result.payload["hit_count"] == hit_count
+    assert result.witness == f"k={first_bad_k} is hit {hit_count} times"
+
+
 def test_morphic_mechanical_agree():
     assert morphic_mechanical_agree(1).verified
     assert morphic_mechanical_agree(13).verified
@@ -160,9 +180,27 @@ def test_prefix_ones_positions_are_beatty():
     assert positions == expected
 
 
-def test_beatty_pairs_match_random_access_floors():
-    pairs = zip(range(1, 10_001), beatty_pairs())
-    assert all(pair == (beatty_phi(m), beatty_phi2(m)) for m, pair in pairs)
+def test_beatty_floors_match_random_access_floors():
+    floors = beatty_floors(1, 10_001)
+    assert len(floors) == 10_000
+    assert all(low == beatty_phi(m) and low + m == beatty_phi2(m) for m, low in enumerate(floors, 1))
+    assert beatty_floors(9_990, 10_001) == floors[9_989:]
+    assert beatty_floors(5, 5) == []
+    with pytest.raises(ValueError):
+        beatty_floors(0, 3)
+
+
+def test_prefix_matches_morphic_route_at_chunk_edges(monkeypatch):
+    # The ones count reaches k chunks at n = floor(k * chunk * phi^2), the position of that 1.
+    edges = [beatty_phi2(k * mechanical._CHUNK) for k in (1, 2, 3)]
+    morphic = fixed_point_prefix(fibonacci_morphism(), "0", edges[-1] + 1).text
+    for n in edges:
+        assert count_ones_upto(n) % mechanical._CHUNK == 0 != count_ones_upto(n - 1) % mechanical._CHUNK
+        for length in (n - 1, n, n + 1):
+            assert mechanical_prefix(length).text == morphic[:length]
+    assert all(mechanical_prefix(n).text == morphic[:n] for n in range(1, 3001))
+    monkeypatch.setattr(mechanical, "_CHUNK", 7)  # a chunk edge every 7 ones
+    assert all(mechanical_prefix(n).text == morphic[:n] for n in range(1, 501))
 
 
 def test_ones_counts_match_closed_form():

@@ -47,6 +47,9 @@ def _modules_loaded_after(code: str) -> set[str]:
             "import fibword.cli\nfibword.cli.main(['gen', 'morphic', '10'])",
             {"fibword.claims", "fibword.freealg", "fractions"},
         ),
+        # beatty renders its rows itself: the pure-Python json encoder (indent=2) is slow
+        ("import fibword.cli\nfibword.cli.main(['beatty', '5', '--format', 'json'])", {"json", "csv"}),
+        ("import fibword.cli\nfibword.cli.main(['beatty', '5', '--format', 'csv'])", {"json", "csv"}),
     ],
 )
 def test_each_request_imports_only_what_it_uses(code, unwanted):

@@ -18,11 +18,14 @@ from . import __version__
 FORMATS = ("text", "csv", "json")
 GEN_KINDS = ("morphic", "mechanical", "y", "q", "fibab")
 GEN_MAX_LETTERS = 10**7  # the longest word `gen` builds; F(36) > 10**7, so y stops at index 33
-BUDGET_FLAGS = ("sweep_n", "scan_n", "ball_cases")
+# `claims` budget flags and the largest value each serves, 100 times its default; sweep_n is the
+# length of the words its claims build, so its cap is the gen cap.
+BUDGET_FLAGS = {"sweep_n": GEN_MAX_LETTERS, "scan_n": 10**6, "ball_cases": 10**6}
 SCHEMA_VERSION = 1
 BEATTY_MAX_N = 10**6  # rows `beatty` prints at most; 72 MB of JSON at the cap
 DENSITY_MAX_DIGITS = 2000  # `density` n < 10**2000; with the places cap every rendered integer has < 4300 digits
 DENSITY_MAX_PLACES = 2000
+TABLE_MAX_ROWS = 10**4  # row m holds exact densities of about m digits, so a table costs O(rows^2)
 
 # `beatty` rows (n, floor(n*phi), floor(n*phi^2)) as (head, row template, separator, tail): the
 # bytes csv.writer and json.dumps(indent=2, sort_keys=True) write, with no row lists or dicts built.
@@ -165,10 +168,12 @@ def _cmd_density(args: argparse.Namespace) -> str:
 
 
 def _cmd_table(args: argparse.Namespace) -> str:
-    from .derived import density_table
-
     if args.rows < 1:
         raise ValueError("table needs at least one row")
+    if args.rows > TABLE_MAX_ROWS:
+        raise ValueError(f"table prints at most {TABLE_MAX_ROWS} rows")
+    from .derived import density_table
+
     header = ["m", "dens_a_q", "dens_b_q", "dens_a_y", "dens_b_y"]
     rows = []
     for row in density_table(3 + args.rows - 1):
@@ -204,10 +209,13 @@ def _cmd_beatty(args: argparse.Namespace) -> str:
 
 
 def _cmd_claims(args: argparse.Namespace) -> str:
+    budgets = {name: value for name, value in vars(args).items() if name in BUDGET_FLAGS}
+    for name, value in budgets.items():
+        if value > BUDGET_FLAGS[name]:
+            raise ValueError(f"claims --{name.replace('_', '-')} is at most {BUDGET_FLAGS[name]}")
     from .claims import Budgets, run_claims
 
-    budgets = Budgets(**{name: value for name, value in vars(args).items() if name in BUDGET_FLAGS})
-    records = [r.record() for r in run_claims(args.ids, budgets)]
+    records = [r.record() for r in run_claims(args.ids, Budgets(**budgets))]
     if args.format == "text":
         blocks = []
         for r in records:

@@ -53,6 +53,24 @@ def _surd(p: int, q: int, d: int) -> Surd:
     return s
 
 
+def _product(p: int, q: int, d: int, r: int, s: int, t: int) -> tuple[int, int, int]:
+    """(p + q*sqrt(5))/d times (r + s*sqrt(5))/t for d, t > 0, reduced by one gcd as `_surd` does."""
+    p, q, d = p * r + 5 * q * s, p * s + q * r, d * t
+    g = math.gcd(d, p, q)
+    return p // g, q // g, d // g
+
+
+def _floor(p: int, q: int, d: int) -> int:
+    """floor((p + q*sqrt(5))/d) for integers with d > 0, via integer isqrt."""
+    if q > 0:
+        p += isqrt(5 * q * q)
+    elif q < 0:
+        # sqrt(5 q^2) is irrational for q != 0, so floor(-x) = -floor(x) - 1
+        p -= isqrt(5 * q * q) + 1
+    # floor(x / d) = floor(floor(x) / d) for a positive integer d
+    return p // d
+
+
 def _surd_operand(method):
     """Operator decorator: an int or Fraction operand becomes a Surd, anything else NotImplemented."""
 
@@ -71,7 +89,8 @@ class Surd(Frozen):
     """Exact element a + b*sqrt(5) of Q(sqrt 5), built as Surd(a, b) from rationals a, b.
 
     Stored as integers (p + q*sqrt(5))/d with gcd(p, q, d) = 1 and d > 0, so
-    each value has one spelling and equality and hashing are field-wise.
+    each value has one spelling and equality is field-wise.  A Surd equals an
+    int or Fraction of the same value, and a rational Surd hashes like it.
     """
 
     def __init__(self, a: RationalLike, b: RationalLike) -> None:
@@ -82,7 +101,13 @@ class Surd(Frozen):
         reduced = _surd(a.numerator * b.denominator, b.numerator * a.denominator, den)
         self.__dict__.update(reduced.__dict__)
 
+    @_surd_operand
+    def __eq__(self, o):
+        return self.__dict__ == o.__dict__
+
     def __hash__(self) -> int:  # the field-tuple hash, spelled out: Surds are the kernel's numbers
+        if self.q == 0:  # equal values hash equal: a rational hashes as its int or Fraction
+            return hash(Fraction(self.p, self.d))
         return hash((self.p, self.q, self.d))
 
     @staticmethod
@@ -142,17 +167,17 @@ class Surd(Frozen):
     def __pow__(self, exponent: int) -> "Surd":
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = _surd(1, 0, 1)
-        base = self
-        e = exponent
+        base = self.inverse() if exponent < 0 else self
+        # square-and-multiply on integer triples, so one Surd is built, at the end
+        p, q, d, e = 1, 0, 1, abs(exponent)
+        bp, bq, bd = base.p, base.q, base.d
         while e:
             if e & 1:
-                result = result * base
-            base = base * base
+                p, q, d = _product(p, q, d, bp, bq, bd)
             e >>= 1
-        return result
+            if e:
+                bp, bq, bd = _product(bp, bq, bd, bp, bq, bd)
+        return _surd(p, q, d)
 
     # -- order --------------------------------------------------------------
 
@@ -187,14 +212,7 @@ class Surd(Frozen):
 
     def floor(self) -> int:
         """Exact floor, via integer isqrt."""
-        t, q = self.p, self.q
-        if q > 0:
-            t += isqrt(5 * q * q)
-        elif q < 0:
-            # sqrt(5 q^2) is irrational for q != 0, so floor(-x) = -floor(x) - 1
-            t -= isqrt(5 * q * q) + 1
-        # floor(x / d) = floor(floor(x) / d) for a positive integer d
-        return t // self.d
+        return _floor(self.p, self.q, self.d)
 
     def __str__(self) -> str:
         return f"({self.a}) + ({self.b})*sqrt5"
@@ -287,39 +305,39 @@ class ZeckendorfRep(Frozen):
     def __init__(self, bits: Sequence[int]) -> None:
         bits = tuple(bits)
         self.__dict__.update(bits=bits)
-        if any(b not in (0, 1) for b in bits):
+        try:
+            raw = bytes(bits)  # ints and bools, checked below by bytes operations in C
+        except (TypeError, ValueError):  # other values (1.0 is a bit; -1 and 2**70 are not)
+            raw = bytes(2 if b not in (0, 1) else b == 1 for b in bits)
+        if raw.translate(None, b"\x00\x01"):
             raise ValueError("bits must be 0 or 1")
-        if any(x == 1 and y == 1 for x, y in zip(bits, bits[1:])):
+        if b"\x01\x01" in raw:
             raise ValueError("adjacent 1s in Zeckendorf representation")
-        if bits and bits[-1] != 1:
+        if raw[-1:] == b"\x00":
             raise ValueError("trailing zero bits are not canonical")
-
-
-def _fibs_from_f2(limit: int) -> list[int]:
-    """[F(2), F(3), ...] up to the last value <= limit."""
-    out = []
-    a, b = 1, 2  # F(2), F(3)
-    while a <= limit:
-        out.append(a)
-        a, b = b, a + b
-    return out
 
 
 def zeckendorf_encode(m: int) -> ZeckendorfRep:
     """Greedy sum of non-adjacent Fibonacci numbers F(2), F(3), ..."""
     if m < 0:
         raise ValueError("can only encode non-negative integers")
-    if m == 0:
-        return ZeckendorfRep(())
-    fibs = _fibs_from_f2(m)
+    fibs = []
+    a, b = 1, 2  # F(2), F(3)
+    while a <= m:
+        fibs.append(a)
+        a, b = b, a + b
     bits = [0] * len(fibs)
     remaining = m
-    for i in range(len(fibs) - 1, -1, -1):
+    i = len(fibs) - 1
+    while i >= 0:
         if fibs[i] <= remaining:
             bits[i] = 1
             remaining -= fibs[i]
+            i -= 2  # what remains is below F(i+1), the next number down, so its bit is 0
+        else:
+            i -= 1
     assert remaining == 0
-    return ZeckendorfRep(tuple(bits))
+    return ZeckendorfRep(bits)
 
 
 def zeckendorf_decode(rep: ZeckendorfRep | Sequence[int]) -> int:
@@ -354,7 +372,7 @@ def fraction_decimal(x: RationalLike, places: int = 6) -> str:
     if isinstance(x, float):
         raise TypeError("fraction_decimal needs an exact rational (int or Fraction)")
     x = Fraction(x)
-    sign = "-" if x < 0 else ""
+    sign = "-" if x.numerator < 0 else ""
     den = x.denominator
     scaled = abs(x.numerator) * 10**places
     q, r = divmod(scaled, den)
@@ -367,15 +385,15 @@ def surd_decimal(s: Surd, places: int = 6) -> str:
     """Fixed-point decimal string for a surd, round-half-even.
 
     Ties can only arise for rational values (sqrt 5 is irrational), where the
-    rational renderer handles them.
+    rational renderer handles them.  Otherwise, with |x| = (p + q*sqrt(5))/d,
+    round(|x| 10^k) = floor((2 10^k (p + q*sqrt(5)) + d) / 2d): one isqrt.
     """
     if s.is_rational:
         return fraction_decimal(s.a, places)
     if places < 0:
         raise ValueError("places must be >= 0")
-    sign = "-" if s.sign() < 0 else ""
-    scaled = abs(s) * (10**places)
-    q = scaled.floor()
-    if (scaled - q - Fraction(1, 2)).sign() > 0:
-        q += 1
-    return _fixed_point(sign, q, places)
+    p, q, sign = s.p, s.q, ""
+    if int_surd_sign(p, q) < 0:
+        p, q, sign = -p, -q, "-"
+    scale = 2 * 10**places
+    return _fixed_point(sign, _floor(scale * p + s.d, scale * q, 2 * s.d), places)

@@ -14,8 +14,8 @@ from itertools import accumulate
 from ._frozen import Frozen
 from .claimresult import ClaimResult, refuted, verified
 from .goldenexact import (
-    INV_PHI_SQUARED,
     Surd,
+    _surd,
     beatty_floors,
     beatty_phi,
     fraction_decimal,
@@ -104,15 +104,14 @@ def density_report(n: int) -> DensityReport:
         raise ValueError("prefix length must be >= 1")
     ones = count_ones_upto(n)
     zeros = n - ones
-    target1 = INV_PHI_SQUARED * n
     return DensityReport(
         n=n,
         count0=zeros,
         count1=ones,
         density0=Fraction(zeros, n),
         density1=Fraction(ones, n),
-        target1=target1,
-        deviation1=Surd.from_rational(ones) - target1,
+        target1=_surd(3 * n, -n, 2),  # n/phi^2 = n(3 - sqrt5)/2
+        deviation1=_surd(2 * ones - 3 * n, n, 2),
     )
 
 

@@ -242,6 +242,42 @@ def test_density_served_at_its_caps(capsys, fmt):
     assert re.search(r"\b0\.3819660112501051\d{1984}\b", out)  # density1 ~ 1/phi^2 to 2000 places
 
 
+def test_table_rows_cap_checked_before_building(capsys, monkeypatch):
+    monkeypatch.setattr("fibword.derived.density_table", _unreachable)
+    assert cli.TABLE_MAX_ROWS == 10**4
+    over = (1, "", "fibword: error: table prints at most 10000 rows\n")
+    for fmt in cli.FORMATS:
+        assert run_cli(capsys, "table", "--rows", str(10**4), "--format", fmt) == REACHED
+        assert run_cli(capsys, "table", "--rows", str(10**4 + 1), "--format", fmt) == over
+    assert run_cli(capsys, "table", "--rows", str(10**30)) == over
+
+
+@pytest.mark.parametrize("name, cap", [("sweep_n", 10**7), ("scan_n", 10**6), ("ball_cases", 10**6)])
+def test_claims_budget_caps_checked_before_running(capsys, monkeypatch, name, cap):
+    served = []
+
+    def unreachable(ids, budgets):
+        served.append(getattr(budgets, name))
+        raise RuntimeError("builder reached")
+
+    monkeypatch.setattr("fibword.claims.run_claims", unreachable)
+    assert cli.BUDGET_FLAGS[name] == cap
+    flag = "--" + name.replace("_", "-")
+    over = (1, "", f"fibword: error: claims {flag} is at most {cap}\n")
+    for ids in ([], ["--id", "local-no-11"], ["--all"]):
+        assert run_cli(capsys, "claims", *ids, flag, str(cap)) == REACHED
+        assert run_cli(capsys, "claims", *ids, flag, str(cap + 1)) == over
+    assert run_cli(capsys, "claims", flag, str(10**30)) == over
+    assert served == [cap] * 3
+
+
+def test_default_budgets_within_caps():
+    from fibword.claims import Budgets
+
+    defaults = Budgets()
+    assert all(getattr(defaults, name) <= cap for name, cap in cli.BUDGET_FLAGS.items())
+
+
 def test_internal_error_without_message_names_its_type(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError()

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from fibword import goldenexact
 from fibword.goldenexact import (
     INV_PHI,
     INV_PHI_SQUARED,
@@ -166,6 +169,26 @@ def test_surd_operand_coercion():
             PHI < bad
 
 
+def test_surd_equals_numbers_of_the_same_value():
+    one, half = Surd.from_rational(1), Surd(Fraction(1, 2), 0)
+    assert one == 1 and 1 == one and not one != 1 and one == Fraction(1) and one == True  # noqa: E712
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half and half != 0 and half != 1
+    assert PHI - PHI == 0 and 0 == PHI - PHI and INV_PHI * PHI == 1 and PHI * PHI_BAR == -1
+    by_number, by_surd = {1: "one", Fraction(1, 2): "half"}, {one: "one", half: "half"}
+    assert by_number[one] == by_surd[1] == "one" and by_number[half] == by_surd[Fraction(1, 2)] == "half"
+    assert len({one, 1, Fraction(1), Surd(Fraction(3, 3), 0)}) == 1
+    for n in (Surd(0, 0), Surd(-7, 0), Surd(Fraction(10**40 + 1, 3), 0)):
+        value = n.a
+        assert hash(n) == hash(value) and n == value and value == n
+    # an irrational surd equals no int: not its floor, not its ceiling
+    for x in (PHI, -PHI, SQRT5, PHI**40, Surd(Fraction(-3, 7), Fraction(2, 5))):
+        assert all(x != k and k != x for k in range(x.floor() - 1, x.floor() + 3))
+        assert x != x.a and hash(x) == hash((x.p, x.q, x.d))
+    # other types are not coerced: equality falls back to identity and says no
+    assert one != 1.0 and one != "1" and one is not None and (one == 1.0) is False
+    assert Surd.__eq__(one, 1.0) is NotImplemented and Surd.__eq__(one, "1") is NotImplemented
+
+
 # -- Surd against a reference of Fraction pairs --------------------------------
 
 
@@ -274,6 +297,38 @@ def test_surd_against_fraction_pair_reference():
         diff = (rx - ry).sign()
         assert (x < y, x <= y, x > y, x >= y) == (diff < 0, diff <= 0, diff > 0, diff >= 0)
         assert x.sign() == rx.sign() and x.floor() == rx.floor()
+
+
+_POWER_BASES = [
+    PHI, PHI_BAR, INV_PHI, -INV_PHI_SQUARED, SQRT5, Surd(Fraction(-3, 7), Fraction(2, 5)),
+    Surd(Fraction(10**20 + 1, 6), Fraction(-5, 4)), Surd(0, Fraction(1, 3)),
+    Surd(Fraction(-2, 3), 0), Surd(-1, 0), Surd(1, 0), Surd(Fraction(7, 10**12), 0), Surd(0, 0),
+]
+
+
+def _repeated_products(step: Surd, count: int):
+    """1, step, step*step, ...: `count` powers by one multiplication each."""
+    power = Surd(1, 0)
+    for _ in range(count):
+        yield power
+        power = power * step
+
+
+@pytest.mark.parametrize("base", _POWER_BASES, ids=str)
+def test_surd_power_matches_repeated_multiplication(base):
+    cases = list(zip(range(301), _repeated_products(base, 301)))
+    if base == 0:  # 0 has no negative powers
+        for e in (-1, -30):
+            with pytest.raises(ZeroDivisionError):
+                base**e
+    else:
+        cases += zip(range(0, -31, -1), _repeated_products(base.inverse(), 31))
+    for e, want in cases:
+        got = base**e
+        assert (got.p, got.q, got.d) == (want.p, want.q, want.d), e
+        _assert_lowest_terms(got)
+        if base.is_rational:
+            assert got == base.a**e
 
 
 def test_surd_one_spelling_per_value():
@@ -467,6 +522,48 @@ def test_zeckendorf_uniqueness_small():
         assert zeckendorf_decode(zeckendorf_encode(m)) == m
 
 
+def _zeckendorf_verdict_reference(bits):
+    """The bit checks ZeckendorfRep made by element-wise generator scans, kept as a reference."""
+    if any(b not in (0, 1) for b in bits):
+        return "bits must be 0 or 1"
+    if any(x == 1 and y == 1 for x, y in zip(bits, bits[1:])):
+        return "adjacent 1s in Zeckendorf representation"
+    if bits and bits[-1] != 1:
+        return "trailing zero bits are not canonical"
+    return None
+
+
+_BIT_LIKE = [0, 1, 1.0, 0.0, True, False, Fraction(1), Fraction(0), 2, -1, 255, 256, 2**70, 0.5, "1", None]
+
+
+def _check_zeckendorf_parity(bits):
+    expected = _zeckendorf_verdict_reference(bits)
+    if expected is None:
+        assert ZeckendorfRep(bits).bits == bits
+    else:
+        with pytest.raises(ValueError) as raised:
+            ZeckendorfRep(bits)
+        assert str(raised.value) == expected, bits
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [
+        (), (1,), (1.0,), (True, False, True), (1, 0, 1.0), (0, Fraction(1)), (0.0, 1), (2,), (-1,), (0, 2),
+        (1, 1), (1, True), (1.0, 1), (1, 0), (1, 0.0), (False,), (1, 0, 1, 0), (2**70,), (256,), (1, 0.5),
+        ("1",), (None,), ([1],), (1, 1, 2), (0, 1, 1, 0), (0, 0, 1),
+    ],
+    ids=repr,
+)
+def test_zeckendorf_rep_accepts_and_rejects_as_before(bits):
+    _check_zeckendorf_parity(bits)
+
+
+@given(st.lists(st.sampled_from(_BIT_LIKE), max_size=8).map(tuple))
+def test_zeckendorf_rep_parity_on_mixed_bits(bits):
+    _check_zeckendorf_parity(bits)
+
+
 def test_zeckendorf_decode_validation():
     with pytest.raises(ValueError):
         zeckendorf_decode((1, 1))
@@ -541,3 +638,56 @@ def test_surd_decimal_against_decimal_module():
             if expected.startswith("-") and Fraction(expected) == 0:
                 expected = expected[1:]
             assert surd_decimal(s, 6) == expected, (a, b)
+
+
+def _surd_decimal_reference(s: Surd, places: int) -> str:
+    """The Surd-arithmetic renderer that surd_decimal replaced, kept as a reference."""
+    if s.is_rational:
+        return fraction_decimal(s.a, places)
+    scaled = abs(s) * (10**places)
+    q = scaled.floor()
+    if (scaled - q - Fraction(1, 2)).sign() > 0:
+        q += 1
+    digits = str(q).rjust(places + 1, "0")
+    text = digits if places == 0 else f"{digits[:-places]}.{digits[-places:]}"
+    return ("-" if s.sign() < 0 and q else "") + text
+
+
+_SIXTY_DIGITS = st.integers(min_value=-(10**60 - 1), max_value=10**60 - 1)
+
+
+@st.composite
+def _rendered_surds(draw):
+    """(a + b*sqrt5)/den over signs and 60-digit parts; a is within 2 of -b*sqrt5 half the time."""
+    b = draw(_SIXTY_DIGITS)
+    den = draw(st.integers(min_value=1, max_value=10**60))
+    if b and draw(st.booleans()):
+        root = isqrt(5 * b * b)
+        a = (-root if b > 0 else root) + draw(st.integers(min_value=-2, max_value=2))
+    else:
+        a = draw(_SIXTY_DIGITS)
+    return Surd(Fraction(a, den), Fraction(b, den))
+
+
+@given(_rendered_surds(), st.integers(min_value=0, max_value=2000))
+def test_surd_decimal_matches_surd_arithmetic_reference(s, places):
+    assert surd_decimal(s, places) == _surd_decimal_reference(s, places)
+
+
+def test_rendering_and_powers_build_no_temporary_surds(monkeypatch):
+    calls = []
+    build = goldenexact._surd
+
+    def counted(p, q, d):
+        calls.append((p, q, d))
+        return build(p, q, d)
+
+    operands = [PHI, -INV_PHI_SQUARED, Surd(Fraction(-3, 7), Fraction(2, 5)), PHI**300]
+    phi_500 = Surd(lucas(500), fib(500)) / 2
+    monkeypatch.setattr(goldenexact, "_surd", counted)
+    for s in operands:
+        for places in (0, 6, 400):
+            surd_decimal(s, places)
+    assert calls == []  # an irrational value is rendered from its integer triple alone
+    power = PHI**500
+    assert len(calls) == 1 and (power.p, power.q, power.d) == (phi_500.p, phi_500.q, phi_500.d)

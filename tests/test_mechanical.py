@@ -76,6 +76,19 @@ def test_density_report_examples():
         density_report(0)
 
 
+def test_density_report_matches_coerced_surd_arithmetic():
+    # the fields as Surd arithmetic on coerced ints built them, and as the CLI renders them
+    for n in [*range(1, 300), 10**6 + 1, 2**61 - 1, 10**59 + 7, 10**60 - 1, 10**1999 + 3]:
+        report = density_report(n)
+        target1 = INV_PHI_SQUARED * n
+        deviation1 = Surd.from_rational(report.count1) - target1
+        for got, want in ((report.target1, target1), (report.deviation1, deviation1)):
+            assert type(got) is Surd and (got.p, got.q, got.d) == (want.p, want.q, want.d), n
+            assert str(got) == str(want)
+        assert (report.count0, report.count1) == (n - report.count1, count_ones_upto(n))
+        assert (report.density0, report.density1) == (Fraction(report.count0, n), Fraction(report.count1, n))
+
+
 def test_density_limits_render():
     # the limiting densities themselves, for reference rendering
     from fibword.goldenexact import surd_decimal

@@ -8,6 +8,8 @@ failure.
 from __future__ import annotations
 
 import argparse
+import atexit
+import os
 import sys
 
 from . import __version__
@@ -300,26 +302,52 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        output = _DISPATCH[args.command](args)
-    except ValueError as exc:
-        print(f"fibword: error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # internal failure contract
-        print(f"fibword: internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 2
-    if args.out:
+        if exc.code:  # usage error, reported on stderr
+            return int(exc.code)
+        args, output = argparse.Namespace(out=None), ""  # --help, --version: flush what argparse wrote
+    else:
         try:
+            output = _DISPATCH[args.command](args)
+        except ValueError as exc:
+            print(f"fibword: error: {exc}", file=sys.stderr)
+            return 1
+        except Exception as exc:  # internal failure contract
+            print(f"fibword: internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            return 2
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(output)
-        except OSError as exc:
-            print(f"fibword: error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(output)
+        else:  # flushed here, so a full disk or a reader that closed the pipe is reported like --out
+            sys.stdout.write(output)
+            sys.stdout.flush()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the --out path
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"fibword: error: cannot write {args.out or 'stdout'}: {reason}", file=sys.stderr)
+        return 1
     return 0
 
 
+def run() -> None:
+    """Entry point of `fibword` and `python -m fibword.cli`: main(), then `os._exit`; never returns.
+
+    The `atexit` callbacks run and both streams are flushed first; the teardown skipped only frees
+    memory. Under a tracer, a profiler or `python -i` it raises SystemExit, so the tool reports."""
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when the shell closed it (`>&-`)
+            sys.stdout.flush()
+    except OSError:  # main() has reported it; what is left goes to devnull, so no exit flush retries it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    monitoring = getattr(sys, "monitoring", None)  # cProfile and coverage use it from Python 3.12 on
+    hooked = monitoring is not None and any(map(monitoring.get_tool, range(6)))
+    if hooked or sys.gettrace() is not None or sys.getprofile() is not None or sys.flags.inspect:
+        raise SystemExit(code)
+    atexit._run_exitfuncs()
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

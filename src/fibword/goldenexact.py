@@ -347,7 +347,8 @@ def zeckendorf_decode(rep: ZeckendorfRep | Sequence[int]) -> int:
     total = 0
     a, b = 1, 2  # F(2), F(3)
     for bit in rep.bits:
-        total += bit * a
+        if bit:  # adds the int F(i+1), never bit * F(i+1): 1.0 and Fraction(1) are bits too
+            total += a
         a, b = b, a + b
     return total
 

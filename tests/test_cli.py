@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import io
 import json
+import os
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibword import cli
 from fibword.cli import main
@@ -399,8 +403,63 @@ def test_out_flag_unwritable_path(tmp_path, capsys):
     assert err.startswith(f"fibword: error: cannot write {target}: ")
 
 
+def test_out_flag_path_with_nul_byte(capsys):
+    code, out, err = run_cli(capsys, "gen", "y", "3", "--out", "nul\x00byte")
+    assert (code, out, err) == (1, "", "fibword: error: cannot write nul\x00byte: embedded null byte\n")
+
+
 def test_missing_subcommand(capsys):
     code = main([])
     captured = capsys.readouterr()
     assert code == 1
     assert "usage" in captured.err.lower()
+
+
+# Fuzzing main(argv): requests shaped like each subcommand's, then options,
+# words and junk in any order. Numbers are small, negative or over every size
+# cap at once, so that no draw asks for a large amount of work a cap allows.
+_OVER_EVERY_CAP = [10**cli.DENSITY_MAX_DIGITS, 3 * 10**cli.DENSITY_MAX_DIGITS + 1, 10**4299]
+_NUMBER = st.one_of(
+    st.integers(0, 20).map(str),
+    st.integers(0, 20).map(str),  # twice: most draws should name work that runs
+    st.integers(-(10**6), -1).map(str),
+    st.sampled_from(_OVER_EVERY_CAP).map(str),
+    st.just("9" * 5000),  # past the int() digit limit of Python 3.11 and later
+)
+_JUNK = st.one_of(st.text(max_size=8), st.just("nul\x00byte"))  # open() raises ValueError on a NUL
+_FLAGS = ["--format", "--out", "--places", "--rows", "--id", *("--" + n.replace("_", "-") for n in cli.BUDGET_FLAGS)]
+_WORDS = [*cli._DISPATCH, *cli.GEN_KINDS, *cli.FORMATS, *_FLAGS, "xml", "--all", "--version", "--help", "-h", "--", "-"]
+_CLAIM_IDS = ["local-no-11", "pow-value", "doubling-fib", "nope"]  # a few of the cheap claims
+_STEM = st.one_of(
+    st.tuples(st.just("gen"), st.sampled_from([*cli.GEN_KINDS, "x"]), _NUMBER),
+    st.tuples(st.sampled_from(["density", "beatty"]), _NUMBER),
+    st.tuples(st.just("table"), st.just("--rows"), _NUMBER),
+    st.tuples(st.just("claims"), st.just("--id"), st.sampled_from(_CLAIM_IDS)),
+    st.tuples(st.sampled_from([*cli._DISPATCH, "--version", "nope"])),
+    st.just(()),
+)
+_OPTION = st.tuples(
+    st.sampled_from(_FLAGS),
+    st.one_of(st.sampled_from([*cli.FORMATS, "xml", *_CLAIM_IDS]), _NUMBER, _JUNK),
+)
+_FUZZ_ARGV = st.builds(
+    lambda stem, options, tail: [*stem, *(token for option in options for token in option), *tail],
+    _STEM,
+    st.lists(_OPTION, max_size=3),
+    st.lists(st.one_of(st.sampled_from(_WORDS), _NUMBER, _JUNK), max_size=2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_FUZZ_ARGV)
+def test_fuzzed_argv_exits_0_1_or_2_without_traceback(tmp_path_factory, argv):
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("fuzz"))  # any --out a draw names is written here
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -564,6 +564,15 @@ def test_zeckendorf_rep_parity_on_mixed_bits(bits):
     _check_zeckendorf_parity(bits)
 
 
+@given(st.lists(st.sampled_from(_BIT_LIKE), max_size=8).map(tuple))
+def test_zeckendorf_decode_of_any_accepted_bits_is_an_int(bits):
+    if _zeckendorf_verdict_reference(bits) is not None:
+        return
+    value = zeckendorf_decode(bits)
+    assert type(value) is int
+    assert value == zeckendorf_decode(tuple(int(bit) for bit in bits))
+
+
 def test_zeckendorf_decode_validation():
     with pytest.raises(ValueError):
         zeckendorf_decode((1, 1))

@@ -272,6 +272,11 @@ def _ball_members(universe: list[Word], center: Word, r: int) -> set[str]:
     return members
 
 
+def _random_bits(rng: random.Random, length: int) -> str:
+    """A uniform binary string of this length, from one getrandbits draw."""
+    return format(rng.getrandbits(length), f"0{length}b") if length else ""
+
+
 def ball_nesting_check(cases: int, word_len: int, seed: int) -> ClaimResult:
     """Intersecting open balls must be nested (restricted to equal-length words).
 
@@ -284,9 +289,12 @@ def ball_nesting_check(cases: int, word_len: int, seed: int) -> ClaimResult:
         raise ValueError("cases and word_len must be >= 1")
     rng = random.Random(seed)
     exhaustive = min(cases // 10, 200)
+    universes: dict[int, list[Word]] = {}
     for _ in range(exhaustive):
         length = rng.randint(1, 8)
-        universe = [binary_word(format(i, f"0{length}b")) for i in range(2**length)]
+        universe = universes.get(length)
+        if universe is None:
+            universe = universes[length] = [binary_word(format(i, f"0{length}b")) for i in range(2**length)]
         u = rng.choice(universe)
         v = rng.choice(universe)
         r = rng.randint(0, length + 1)
@@ -305,12 +313,12 @@ def ball_nesting_check(cases: int, word_len: int, seed: int) -> ClaimResult:
             )
     for _ in range(cases - exhaustive):
         length = rng.randint(1, word_len)
-        u = "".join(rng.choice("01") for _ in range(length))
+        u = _random_bits(rng, length)
         if rng.random() < 0.5:
             cut = rng.randint(0, length)
-            v = u[:cut] + "".join(rng.choice("01") for _ in range(length - cut))
+            v = u[:cut] + _random_bits(rng, length - cut)
         else:
-            v = "".join(rng.choice("01") for _ in range(length))
+            v = _random_bits(rng, length)
         r = rng.randint(0, length + 1)
         s = rng.randint(0, length + 1)
         small = min(r, s)

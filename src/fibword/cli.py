@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import errno
 import os
 import sys
 
@@ -103,8 +104,8 @@ def _cmd_gen(args: argparse.Namespace) -> str:
     word = _generate_word(args.kind, args.index)
     if args.format == "text":
         return word + "\n"
-    if args.format == "csv":
-        return _csv_text(["kind", "index", "word"], [[args.kind, str(args.index), word]])
+    if args.format == "csv":  # a kind name, an integer and a run of letters: no field needs quoting
+        return f"kind,index,word\n{args.kind},{args.index},{word}\n"
     return _json_text(
         {
             "schema_version": SCHEMA_VERSION,
@@ -297,6 +298,28 @@ _DISPATCH = {
 }
 
 
+def _write_stdout(output: str) -> None:
+    """Write and flush `output` on stdout, raising OSError if any of it cannot be written.
+
+    The bytes go to the binary layer in a loop: under PYTHONUNBUFFERED that layer is the raw
+    file, whose short writes the text layer would drop without an error. A stdout with no
+    binary layer (a StringIO) or one that translates newlines takes the text write, and so
+    does the empty output of --help and --version, whose text argparse wrote already."""
+    stdout = sys.stdout
+    if stdout is None:  # the shell closed it (`>&-`)
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    buffer = getattr(stdout, "buffer", None)
+    if buffer is None or not output or os.linesep != "\n":
+        stdout.write(output)
+        stdout.flush()
+        return
+    stdout.flush()  # what argparse or a caller left in the text layer goes first
+    data = memoryview(output.encode(stdout.encoding, stdout.errors))
+    while data:
+        data = data[buffer.write(data) :]
+    buffer.flush()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -319,8 +342,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(output)
         else:  # flushed here, so a full disk or a reader that closed the pipe is reported like --out
-            sys.stdout.write(output)
-            sys.stdout.flush()
+            _write_stdout(output)
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the --out path
         reason = getattr(exc, "strerror", None) or exc
         print(f"fibword: error: cannot write {args.out or 'stdout'}: {reason}", file=sys.stderr)

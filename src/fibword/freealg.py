@@ -189,28 +189,33 @@ def alpha_identity_check(alpha: int, w: Word) -> ClaimResult:
     """Weighted power sums over a 0/1 word versus the triangular-number multiple.
 
     Checks sum_k sum_{j=1..alpha} (alpha+1-j) * w_k^j = alpha(alpha+1)/2 * sum_k w_k
-    with exact integers, evaluating the powers literally.
+    with exact integers.  Each power is evaluated literally once per letter value and
+    weighted by the number of positions that carry it.
     """
     claim_id = "alpha-identity"
     location = "weighted power-sum identity for binary sequences"
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
-    bits = [int(c) for c in w.text]
-    if any(b not in (0, 1) for b in bits):
+    text = w.text
+    # (value, positions) per letter present, in order of first appearance, so a bad letter
+    # fails int() or the binary test exactly as a left-to-right scan would.
+    letters = sorted((s for s in w.alphabet.symbols if s in text), key=text.index)
+    counted = [(int(s), text.count(s)) for s in letters]
+    if any(bit not in (0, 1) for bit, _ in counted):
         raise ValueError("word must be binary")
     lhs = 0
-    for bit in bits:
+    for bit, positions in counted:
         for j in range(1, alpha + 1):
-            lhs += (alpha + 1 - j) * bit**j
-    total = sum(bits)
+            lhs += (alpha + 1 - j) * bit**j * positions
+    total = sum(bit * positions for bit, positions in counted)
     rhs = alpha * (alpha + 1) // 2 * total
     if lhs == rhs:
         return verified(
             claim_id,
             location,
-            f"both sides equal {lhs} for alpha={alpha} on a length-{len(bits)} word",
+            f"both sides equal {lhs} for alpha={alpha} on a length-{len(text)} word",
             alpha=alpha,
-            length=len(bits),
+            length=len(text),
             value=lhs,
         )
     return refuted(
@@ -218,7 +223,7 @@ def alpha_identity_check(alpha: int, w: Word) -> ClaimResult:
         location,
         f"lhs {lhs} != rhs {rhs} for alpha={alpha}",
         alpha=alpha,
-        length=len(bits),
+        length=len(text),
         lhs=lhs,
         rhs=rhs,
     )

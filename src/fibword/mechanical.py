@@ -19,7 +19,6 @@ from .goldenexact import (
     beatty_floors,
     beatty_phi,
     fraction_decimal,
-    int_surd_sign,
     isqrt,
     surd_decimal,
 )
@@ -116,27 +115,29 @@ def density_report(n: int) -> DensityReport:
 
 
 def max_discrepancy(limit: int) -> tuple[Surd, int]:
-    """sup over 1 <= n <= limit of |count1(n) - n/phi^2|, with the first argmax.
+    """sup over 1 <= n <= limit of |count1(n) - n/phi^2|, with its argmax, in closed form.
 
-    The sweep stays in integers: twice the deviation at n is p + q*sqrt5
-    with p = 2*count1 - 3n and q = n, and magnitudes are compared through
-    their squares (p^2 + 5q^2) + 2pq*sqrt5, again integer pairs.
+    With t = 1/phi^2 and count1(n) = floor((n+1)t), the deviation at n is
+    count1(n) - nt = t - {(n+1)t}, which lies strictly between t - 1 and t.
+    A positive deviation is smaller than t; a negative one has size
+    {(n+1)t} - t, largest where (n+1)t falls short of an integer p by the
+    least, that is where p/(n+1) is a best one-sided approximation of t from
+    above.  As t = [0; 2, 1, 1, 1, ...], those are the convergents 1/2, 2/5,
+    5/13, ... with denominators F(2j+1) (the one intermediate fraction, 1/1,
+    is n = 0), so the sup over n <= limit sits at the largest
+    n = F(2j+1) - 1 <= limit, j >= 1.  That covers limit < 4: n = 1 has size
+    exactly t, which no positive deviation reaches, and n = 2, 3 have the
+    smaller sizes 1 - 2t and 3t - 1.  No two n share a size (t is
+    irrational), so the argmax is unique.  tests/test_mechanical.py checks
+    the closed form against the full sweep for every limit <= 10^6.
     """
     if limit < 1:
         raise ValueError("sweep bound must be >= 1")
-    best_sq = (0, 0)
-    best_pq = (0, 0)
-    best_n = 0
-    for n, count1 in enumerate(ones_counts(limit), 1):
-        p = 2 * count1 - 3 * n
-        q = n
-        sq = (p * p + 5 * q * q, 2 * p * q)
-        if best_n == 0 or int_surd_sign(sq[0] - best_sq[0], sq[1] - best_sq[1]) > 0:
-            best_sq = sq
-            best_pq = (p, q)
-            best_n = n
-    value = abs(Surd(Fraction(best_pq[0], 2), Fraction(best_pq[1], 2)))
-    return value, best_n
+    n, after = 1, 4  # F(2j+1) - 1 for j = 1, 2; F(k+2) = 3F(k) - F(k-2)
+    while after <= limit:
+        n, after = after, 3 * after - n + 1
+    p = 2 * count_ones_upto(n) - 3 * n  # twice the deviation at n is p + n*sqrt5
+    return abs(Surd(Fraction(p, 2), Fraction(n, 2))), n
 
 
 def verify_beatty_partition(limit: int) -> ClaimResult:

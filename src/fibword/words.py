@@ -54,8 +54,11 @@ class Word(Frozen):
         self.__post_init__()  # a method of its own: perfbench/tracer.py counts Words by rebinding it
 
     def __post_init__(self) -> None:
-        bad = set(self.text) - set(self.alphabet.symbols)
-        if bad:
+        # The symbols are distinct single characters, so their counts sum to the length iff every
+        # letter is one of them: one str.count pass per symbol, no per-letter loop.
+        text, symbols = self.text, self.alphabet.symbols
+        if sum(map(text.count, symbols)) != len(text):
+            bad = set(text) - set(symbols)
             raise ValueError(f"letters {sorted(bad)!r} not in alphabet")
 
     def __hash__(self) -> int:  # the field-tuple hash, spelled out: Words key sets and dicts

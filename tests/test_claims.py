@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from fibword.claimresult import ClaimResult
 from fibword.claims import (
     ALL_CLAIM_IDS,
     Budgets,
+    _random_bits,
     ball_nesting_check,
     binet_check,
     check_telescoping,
@@ -18,6 +20,7 @@ from fibword.claims import (
 )
 from fibword.goldenexact import fib, lucas
 from fibword.mechanical import mechanical_prefix
+from fibword.words import binary_word
 
 EXPECTED_VERDICTS = {
     "alpha-identity": "verified",
@@ -119,6 +122,56 @@ def test_ball_nesting_check_deterministic():
     assert a == b
     assert a.verified
     assert a.payload["exhaustive_cases"] == 50
+
+
+def _last_disagreement(u, v):
+    """Not an ultrametric: the last index where u and v differ, not the first."""
+    if u.text == v.text:
+        return None
+    return max(i for i, (x, y) in enumerate(zip(u.text, v.text)) if x != y)
+
+
+def test_ball_nesting_check_refutes_a_non_ultrametric(monkeypatch):
+    monkeypatch.setattr("fibword.claims.ultrametric_distance", _last_disagreement)
+    result = ball_nesting_check(2_000, 24, 7)
+    assert result.status == "refuted"
+    u, v, r, s = (result.payload[key] for key in ("u", "v", "r", "s"))
+    universe = [format(i, f"0{len(u)}b") for i in range(2 ** len(u))]
+
+    def ball(center, radius):
+        exponents = {z: _last_disagreement(binary_word(z), binary_word(center)) for z in universe}
+        return {z for z, n in exponents.items() if n is None or n > radius}
+
+    ball_u, ball_v = ball(u, r), ball(v, s)
+    assert ball_u & ball_v and not (ball_u <= ball_v or ball_v <= ball_u)
+
+
+def test_ball_nesting_enumerates_every_word_of_the_center_length(monkeypatch):
+    from fibword import claims
+
+    seen = []
+
+    def spy(universe, center, r):
+        seen.append(({z.text for z in universe}, len(center)))
+        return ball_members(universe, center, r)
+
+    ball_members = claims._ball_members
+    monkeypatch.setattr(claims, "_ball_members", spy)
+    assert ball_nesting_check(2_000, 24, 7).verified
+    assert len(seen) == 2 * 200
+    assert {length for _, length in seen} == set(range(1, 9))
+    for texts, length in seen:
+        assert texts == {format(i, f"0{length}b") for i in range(2**length)}
+
+
+def test_random_bits_draws_exactly_the_asked_length():
+    rng = random.Random(3)
+    for length in range(25):
+        drawn = {_random_bits(rng, length) for _ in range(500)}
+        assert {len(bits) for bits in drawn} == {length}
+        assert set("".join(drawn)) <= {"0", "1"}
+        if length <= 4:
+            assert len(drawn) == 2**length
 
 
 def test_budgets_validation():

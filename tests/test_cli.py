@@ -48,6 +48,14 @@ def test_gen_csv_and_json(capsys):
     assert document["word"] == "01001"
 
 
+@pytest.mark.parametrize("kind, index", [("morphic", 1), ("mechanical", 1000), ("y", 0), ("q", 1), ("fibab", 20)])
+def test_gen_csv_matches_csv_writer(capsys, kind, index):
+    _, text, _ = run_cli(capsys, "gen", kind, str(index))
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([["kind", "index", "word"], [kind, str(index), text[:-1]]])
+    assert run_cli(capsys, "gen", kind, str(index), "--format", "csv") == (0, buffer.getvalue(), "")
+
+
 def test_gen_invalid_index(capsys):
     code, _, err = run_cli(capsys, "gen", "mechanical", "0")
     assert code == 1

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibword.derived import fib_word_ab
 from fibword.freealg import (
@@ -14,7 +16,7 @@ from fibword.freealg import (
     pow_fib,
 )
 from fibword.mechanical import mechanical_prefix
-from fibword.words import AB, BINARY, Word, ab_word
+from fibword.words import AB, BINARY, Alphabet, Word, ab_word, binary_word
 
 
 def mono(text, coefficient=1):
@@ -126,6 +128,43 @@ def test_alpha_identity_examples():
     assert big.verified
     with pytest.raises(ValueError):
         alpha_identity_check(0, w)
+
+
+def literal_alpha_sides(alpha, text):
+    """Both sides of the alpha identity by the literal loop over positions and powers."""
+    bits = [int(c) for c in text]
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("word must be binary")
+    lhs = 0
+    for bit in bits:
+        for j in range(1, alpha + 1):
+            lhs += (alpha + 1 - j) * bit**j
+    return lhs, alpha * (alpha + 1) // 2 * sum(bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="01", max_size=200), st.integers(min_value=1, max_value=10))
+def test_alpha_identity_matches_literal_loop(text, alpha):
+    lhs, rhs = literal_alpha_sides(alpha, text)
+    result = alpha_identity_check(alpha, binary_word(text))
+    assert lhs == rhs
+    assert result.verified
+    assert result.witness == f"both sides equal {lhs} for alpha={alpha} on a length-{len(text)} word"
+    assert result.payload == {"alpha": alpha, "length": len(text), "value": lhs}
+
+
+@pytest.mark.parametrize("text", ["0120", "01a2", "1a2", "12a", "a", "2", "1ab", "1ba2", "1١0"])
+def test_alpha_identity_rejects_letters_as_the_literal_loop_does(text):
+    # int() fails on the first of "a" and "b" in the word; "١" (ARABIC-INDIC DIGIT ONE) reads as 1.
+    w = Word(Alphabet("012ab١"), text)
+    try:
+        expected = literal_alpha_sides(3, text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            alpha_identity_check(3, w)
+        assert str(raised.value) == str(exc)
+    else:
+        assert alpha_identity_check(3, w).payload["value"] == expected[0]
 
 
 def test_alpha_identity_arbitrary_binary_words():

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibword import mechanical
 from fibword.goldenexact import (
@@ -10,6 +13,8 @@ from fibword.goldenexact import (
     beatty_floors,
     beatty_phi,
     beatty_phi2,
+    fib,
+    int_surd_sign,
 )
 from fibword.mechanical import (
     count_ones_upto,
@@ -104,6 +109,63 @@ def test_max_discrepancy_examples():
     assert value == Surd(Fraction(14), Fraction(-6)) and at == 12
     with pytest.raises(ValueError):
         max_discrepancy(0)
+
+
+SWEEP_LIMIT = 10**6
+
+
+@lru_cache(maxsize=None)
+def sweep_records(limit):
+    """The reference sweep: every n <= limit where |count1(n) - n/phi^2| beats all smaller n.
+
+    Integers only: twice the deviation at n is p + q*sqrt5 with p = 2*count1 - 3n and q = n,
+    and sizes compare through their squares (p^2 + 5q^2) + 2pq*sqrt5. Returns (n, size) pairs.
+    """
+    records = []
+    best_sq = None
+    for n, count1 in enumerate(ones_counts(limit), 1):
+        p, q = 2 * count1 - 3 * n, n
+        sq = (p * p + 5 * q * q, 2 * p * q)
+        if best_sq is None or int_surd_sign(sq[0] - best_sq[0], sq[1] - best_sq[1]) > 0:
+            best_sq = sq
+            records.append((n, abs(Surd(Fraction(p, 2), Fraction(q, 2)))))
+    return tuple(records)
+
+
+def swept_max_discrepancy(limit):
+    """(sup, argmax) over 1 <= n <= limit, read off the reference sweep."""
+    return next((value, n) for n, value in reversed(sweep_records(SWEEP_LIMIT)) if n <= limit)
+
+
+def test_max_discrepancy_records_are_odd_fibonacci_minus_one():
+    # The sup only moves at its records, so equal records mean equal results for every limit.
+    odd_fib_minus_one = [fib(k) - 1 for k in range(3, 40, 2) if fib(k) - 1 <= SWEEP_LIMIT]
+    records = sweep_records(SWEEP_LIMIT)
+    assert [n for n, _ in records] == odd_fib_minus_one
+    for (n, value), (after, _) in zip(records, records[1:] + ((SWEEP_LIMIT + 1, None),)):
+        assert max_discrepancy(n) == max_discrepancy(after - 1) == (value, n)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4])
+def test_max_discrepancy_small_limits_match_sweep(limit):
+    n, value = sweep_records(limit)[-1]
+    assert max_discrepancy(limit) == (value, n)
+    assert (value, n) == ((INV_PHI_SQUARED, 1) if limit < 4 else (4 * INV_PHI_SQUARED - 1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=SWEEP_LIMIT))
+def test_max_discrepancy_matches_sweep(limit):
+    value, n = max_discrepancy(limit)
+    assert (value, n) == swept_max_discrepancy(limit)
+    assert type(value) is Surd and type(n) is int
+
+
+def test_max_discrepancy_at_the_sweep_cap():
+    value, n = max_discrepancy(10**7)
+    assert n == fib(35) - 1 == 9_227_464
+    assert value == n * INV_PHI_SQUARED - count_ones_upto(n)
+    assert (value - 1).sign() < 0
 
 
 def test_max_discrepancy_against_interval_oracle():

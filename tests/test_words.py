@@ -40,6 +40,34 @@ def test_word_validation():
     assert binary_word("0110")[1:3].text == "11"
 
 
+@pytest.mark.parametrize(
+    "symbols, text, bad",
+    [
+        ("01", "0x1y2x", ["2", "x", "y"]),
+        ("01", "0é1", ["é"]),
+        ("αβ", "αβγ", ["γ"]),
+        ("αβ", "aαb", ["a", "b"]),
+        ("αβ😀", "😀αz", ["z"]),
+    ],
+)
+def test_word_rejects_foreign_letters_by_name(symbols, text, bad):
+    with pytest.raises(ValueError) as raised:
+        Word(Alphabet(symbols), text)
+    assert str(raised.value) == f"letters {bad!r} not in alphabet"
+
+
+@given(st.text(alphabet="01aé", max_size=30))
+def test_word_accepts_exactly_the_alphabet_letters(text):
+    for alphabet in (BINARY, Alphabet("0é")):
+        bad = sorted(set(text) - set(alphabet.symbols))
+        if bad:
+            with pytest.raises(ValueError) as raised:
+                Word(alphabet, text)
+            assert str(raised.value) == f"letters {bad!r} not in alphabet"
+        else:
+            assert Word(alphabet, text).text == text
+
+
 def test_factor_set_examples():
     two_factors = factor_set(binary_word(PREFIX_13), 2)
     assert {f.text for f in two_factors} == {"01", "10", "00"}

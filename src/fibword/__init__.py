@@ -13,15 +13,14 @@ __version__ = "0.1.0"
 # use, so a CLI request imports only the layers it runs.
 _EXPORTS = {
     "claimresult": "REFUTED VERIFIED ClaimResult",
-    "claims": "ALL_CLAIM_IDS Budgets run_all_claims run_claims",
+    "claims": "ALL_CLAIM_IDS Budgets alpha_identity_check check_pow_invariance "
+    "morphic_mechanical_agree run_all_claims run_claims verify_beatty_partition",
     "derived": "DensityRow density_table df_density fib_word_ab letter_counts_closed_form "
     "letter_densities q_word y_word",
-    "freealg": "AlgebraElement alg_add alg_mul alg_scalar alpha_identity_check check_pow_invariance "
-    "pow_fib",
+    "freealg": "AlgebraElement alg_add alg_mul alg_scalar pow_fib",
     "goldenexact": "INV_PHI INV_PHI_SQUARED PHI PHI_BAR SQRT5 Surd ZeckendorfRep beatty_phi "
     "beatty_phi2 fib fraction_decimal isqrt lucas surd_decimal zeckendorf_decode zeckendorf_encode",
-    "mechanical": "DensityReport count_ones_upto density_report max_discrepancy mechanical_prefix "
-    "morphic_mechanical_agree verify_beatty_partition",
+    "mechanical": "DensityReport count_ones_upto density_report max_discrepancy mechanical_prefix",
     "morphism": "Morphism apply fibonacci_morphism fixed_point_prefix is_prolongable mortal_letters",
     "words": "AB BINARY Alphabet Word ab_word binary_word factor_set ultrametric_distance",
 }

@@ -1,4 +1,4 @@
-"""Adjudication records shared by the claim-checking modules."""
+"""Adjudication records; `fibword.claims` is the one module that builds them."""
 
 from __future__ import annotations
 

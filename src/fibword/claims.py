@@ -28,7 +28,7 @@ from .derived import (
     y_word,
     y_words,
 )
-from .freealg import alpha_identity_check, check_pow_invariance, element_from_texts, pow_fib
+from .freealg import element_from_texts, pow_fib
 from .goldenexact import (
     INV_PHI,
     INV_PHI_SQUARED,
@@ -42,13 +42,8 @@ from .goldenexact import (
     lucas,
     surd_decimal,
 )
-from .mechanical import (
-    max_discrepancy,
-    mechanical_prefix,
-    morphic_mechanical_agree,
-    ones_counts,
-    verify_beatty_partition,
-)
+from .mechanical import beatty_hits, max_discrepancy, mechanical_prefix, ones_counts
+from .morphism import fibonacci_morphism, fixed_point_prefix
 from .words import AB, Word, binary_word, ultrametric_distance
 
 # Claimed constant value of the power element (13-letter second monomial);
@@ -146,38 +141,38 @@ def check_telescoping(m: int, k_max: int) -> ClaimResult:
     )
 
 
-def doubling_identity_check(n_max: int) -> tuple[ClaimResult, ClaimResult]:
-    """Check F(2n) = F(n)L(n) and the stated L(2n) = L(n)^2 - 2 for 2 <= n <= n_max.
-
-    Returns the two sub-verdicts.  The stated Lucas form drops the sign term
-    of L(2n) = L(n)^2 - 2(-1)^n, so it fails at odd n (already at n = 1,
-    outside this sweep's domain).
-    """
+def doubling_fib_check(n_max: int) -> ClaimResult:
+    """Check F(2n) = F(n)L(n) for 2 <= n <= n_max."""
+    claim_id = "doubling-fib"
+    location = "Fibonacci doubling identity F(2n) = F(n) L(n)"
     if n_max < 2:
         raise ValueError("doubling check needs n_max >= 2")
-    fib_claim = None
     for n in range(2, n_max + 1):
         if fib(2 * n) != fib(n) * lucas(n):
-            fib_claim = refuted(
-                "doubling-fib",
-                "Fibonacci doubling identity F(2n) = F(n) L(n)",
+            return refuted(
+                claim_id,
+                location,
                 f"n={n}: F({2 * n}) = {fib(2 * n)} != F({n}) L({n}) = {fib(n) * lucas(n)}",
                 n=n,
             )
-            break
-    if fib_claim is None:
-        fib_claim = verified(
-            "doubling-fib",
-            "Fibonacci doubling identity F(2n) = F(n) L(n)",
-            f"holds for all 2 <= n <= {n_max}",
-            n_max=n_max,
-        )
-    lucas_claim = None
+    return verified(claim_id, location, f"holds for all 2 <= n <= {n_max}", n_max=n_max)
+
+
+def doubling_lucas_form_check(n_max: int) -> ClaimResult:
+    """Check the stated L(2n) = L(n)^2 - 2 for 2 <= n <= n_max.
+
+    The stated form drops the sign term of L(2n) = L(n)^2 - 2(-1)^n, so it
+    fails at odd n (already at n = 1, outside this sweep's domain).
+    """
+    claim_id = "doubling-lucas-form"
+    location = "Lucas doubling identity as stated, L(2n) = L(n)^2 - 2"
+    if n_max < 2:
+        raise ValueError("doubling check needs n_max >= 2")
     for n in range(2, n_max + 1):
         if lucas(2 * n) != lucas(n) ** 2 - 2:
-            lucas_claim = refuted(
-                "doubling-lucas-form",
-                "Lucas doubling identity as stated, L(2n) = L(n)^2 - 2",
+            return refuted(
+                claim_id,
+                location,
                 f"n={n}: L({2 * n}) = {lucas(2 * n)} but L({n})^2 - 2 = {lucas(n) ** 2 - 2}",
                 n=n,
                 lucas_2n=lucas(2 * n),
@@ -185,15 +180,7 @@ def doubling_identity_check(n_max: int) -> tuple[ClaimResult, ClaimResult]:
                 signed_form_value=lucas(n) ** 2 - 2 * (-1) ** n,
                 note="the signed form L(2n) = L(n)^2 - 2(-1)^n holds; n=1 also fails the stated form",
             )
-            break
-    if lucas_claim is None:
-        lucas_claim = verified(
-            "doubling-lucas-form",
-            "Lucas doubling identity as stated, L(2n) = L(n)^2 - 2",
-            f"holds for all 2 <= n <= {n_max}",
-            n_max=n_max,
-        )
-    return fib_claim, lucas_claim
+    return verified(claim_id, location, f"holds for all 2 <= n <= {n_max}", n_max=n_max)
 
 
 def genfunc_check(n_max: int) -> ClaimResult:
@@ -347,6 +334,55 @@ def ball_nesting_check(cases: int, word_len: int, seed: int) -> ClaimResult:
 
 
 # -- word-structure claims ---------------------------------------------------------
+
+
+def verify_beatty_partition(limit: int) -> ClaimResult:
+    """Each k <= limit must be hit exactly once across the two Beatty sequences."""
+    claim_id = "beatty-partition"
+    location = "complementary Beatty sequences for phi and phi^2 partition the positive integers"
+    hits = beatty_hits(limit)
+    rest = hits[1:].lstrip(b"\x01")  # starts at the first k not hit exactly once
+    if not rest:
+        return verified(
+            claim_id,
+            location,
+            f"every k <= {limit} is hit exactly once",
+            n_checked=limit,
+        )
+    k = limit + 1 - len(rest)
+    return refuted(
+        claim_id,
+        location,
+        f"k={k} is hit {rest[0]} times",
+        first_bad_k=k,
+        hit_count=rest[0],
+        n_checked=limit,
+    )
+
+
+def morphic_mechanical_agree(n: int) -> ClaimResult:
+    """Fixed point of 0->01, 1->0 versus the Beatty labelling, symbol by symbol."""
+    claim_id = "morphic-mechanical-agreement"
+    location = "the morphic fixed point equals the mechanical (Beatty) word"
+    if n < 1:
+        raise ValueError("prefix length must be >= 1")
+    morphic = fixed_point_prefix(fibonacci_morphism(), "0", n).text
+    mechanical = mechanical_prefix(n).text
+    if morphic == mechanical:
+        return verified(
+            claim_id,
+            location,
+            f"prefixes of length {n} are identical",
+            n_checked=n,
+        )
+    k = next(i for i, (x, y) in enumerate(zip(morphic, mechanical)) if x != y)
+    return refuted(
+        claim_id,
+        location,
+        f"first mismatch at index {k}: morphic {morphic[k]} vs mechanical {mechanical[k]}",
+        first_mismatch_index=k,
+        n_checked=n,
+    )
 
 
 def _claim_density_convergence(scan_n: int) -> ClaimResult:
@@ -581,6 +617,42 @@ def _claim_df_convergence(df_k: int) -> ClaimResult:
     )
 
 
+def check_pow_invariance(k_max: int) -> ClaimResult:
+    """Are pow_fib(2), ..., pow_fib(k_max) all equal, as claimed?"""
+    claim_id = "pow-invariance"
+    location = "the power element built from Fibonacci words is independent of the index"
+    if k_max < 3:
+        raise ValueError("invariance check needs k_max >= 3")
+    previous = pow_fib(2)
+    for k in range(3, k_max + 1):
+        current = pow_fib(k)
+        if current != previous:
+            diff_word = next(
+                w for w in previous.words() + current.words()
+                if previous.coefficient(w) != current.coefficient(w)
+            )
+            return refuted(
+                claim_id,
+                location,
+                (
+                    f"pow({k - 1}) != pow({k}); monomial {diff_word.text} has "
+                    f"coefficient {previous.coefficient(diff_word)} in pow({k - 1}) "
+                    f"and {current.coefficient(diff_word)} in pow({k})"
+                ),
+                witness_pair=[k - 1, k],
+                differing_monomial=diff_word.text,
+                element_small=previous.render(),
+                element_large=current.render(),
+            )
+        previous = current
+    return verified(
+        claim_id,
+        location,
+        f"pow(k) identical for 2 <= k <= {k_max}",
+        k_max=k_max,
+    )
+
+
 def _claim_pow_value() -> ClaimResult:
     claim_id = "pow-value"
     location = "claimed constant value of the power element"
@@ -603,6 +675,50 @@ def _claim_pow_value() -> ClaimResult:
     )
 
 
+def alpha_identity_check(alpha: int, w: Word) -> ClaimResult:
+    """Weighted power sums over a 0/1 word versus the triangular-number multiple.
+
+    Checks sum_k sum_{j=1..alpha} (alpha+1-j) * w_k^j = alpha(alpha+1)/2 * sum_k w_k
+    with exact integers.  Each power is evaluated literally once per letter value and
+    weighted by the number of positions that carry it.
+    """
+    claim_id = "alpha-identity"
+    location = "weighted power-sum identity for binary sequences"
+    if alpha < 1:
+        raise ValueError("alpha must be >= 1")
+    text = w.text
+    # (value, positions) per letter present, in order of first appearance, so a bad letter
+    # fails int() or the binary test exactly as a left-to-right scan would.
+    letters = sorted((s for s in w.alphabet.symbols if s in text), key=text.index)
+    counted = [(int(s), text.count(s)) for s in letters]
+    if any(bit not in (0, 1) for bit, _ in counted):
+        raise ValueError("word must be binary")
+    lhs = 0
+    for bit, positions in counted:
+        for j in range(1, alpha + 1):
+            lhs += (alpha + 1 - j) * bit**j * positions
+    total = sum(bit * positions for bit, positions in counted)
+    rhs = alpha * (alpha + 1) // 2 * total
+    if lhs == rhs:
+        return verified(
+            claim_id,
+            location,
+            f"both sides equal {lhs} for alpha={alpha} on a length-{len(text)} word",
+            alpha=alpha,
+            length=len(text),
+            value=lhs,
+        )
+    return refuted(
+        claim_id,
+        location,
+        f"lhs {lhs} != rhs {rhs} for alpha={alpha}",
+        alpha=alpha,
+        length=len(text),
+        lhs=lhs,
+        rhs=rhs,
+    )
+
+
 def _claim_alpha_identity(alpha_max: int, scan_n: int) -> ClaimResult:
     prefix = mechanical_prefix(scan_n)
     last = None
@@ -621,45 +737,41 @@ def _claim_alpha_identity(alpha_max: int, scan_n: int) -> ClaimResult:
     )
 
 
-# (claim ids returned, run(budgets)); the doubling pair is one sweep.  Runs look
-# checks up by module-global name at call time, so rebinding one reaches them.
-REGISTRY = (
-    (("beatty-partition",), lambda b: verify_beatty_partition(b.sweep_n)),
-    (("morphic-mechanical-agreement",), lambda b: morphic_mechanical_agree(b.sweep_n)),
-    (("density-convergence",), lambda b: _claim_density_convergence(b.scan_n)),
-    (("discrepancy-bound",), lambda b: _claim_discrepancy_bound(b.sweep_n)),
-    (("local-no-11",), lambda b: _claim_local_no_11(b.sweep_n)),
-    (("local-three-window",), lambda b: _claim_local_three_window(b.scan_n)),
-    (("framed-density-limit",), lambda b: _claim_framed_density_limit(19)),
-    (("y-length-formula",), lambda b: _claim_y_length(30)),
-    (("alpha-identity",), lambda b: _claim_alpha_identity(10, b.scan_n)),
-    (("pow-invariance",), lambda b: check_pow_invariance(6)),
-    (("pow-value",), lambda b: _claim_pow_value()),
-    (("telescoping-identity",), lambda b: check_telescoping(1, 10)),
-    (("doubling-fib", "doubling-lucas-form"), lambda b: doubling_identity_check(50)),
-    (("binet-formulas",), lambda b: binet_check(200)),
-    (("generating-function",), lambda b: genfunc_check(20)),
-    (("ball-nesting",), lambda b: ball_nesting_check(b.ball_cases, 24, 7)),
-    (("letter-counts",), lambda b: _claim_letter_counts(25)),
-    (("df-convergence",), lambda b: _claim_df_convergence(30)),
-)
+# Claim id -> run(budgets).  Runs look checks up by module-global name at call
+# time, so rebinding one reaches them.
+REGISTRY = {
+    "beatty-partition": lambda b: verify_beatty_partition(b.sweep_n),
+    "morphic-mechanical-agreement": lambda b: morphic_mechanical_agree(b.sweep_n),
+    "density-convergence": lambda b: _claim_density_convergence(b.scan_n),
+    "discrepancy-bound": lambda b: _claim_discrepancy_bound(b.sweep_n),
+    "local-no-11": lambda b: _claim_local_no_11(b.sweep_n),
+    "local-three-window": lambda b: _claim_local_three_window(b.scan_n),
+    "framed-density-limit": lambda b: _claim_framed_density_limit(19),
+    "y-length-formula": lambda b: _claim_y_length(30),
+    "alpha-identity": lambda b: _claim_alpha_identity(10, b.scan_n),
+    "pow-invariance": lambda b: check_pow_invariance(6),
+    "pow-value": lambda b: _claim_pow_value(),
+    "telescoping-identity": lambda b: check_telescoping(1, 10),
+    "doubling-fib": lambda b: doubling_fib_check(50),
+    "doubling-lucas-form": lambda b: doubling_lucas_form_check(50),
+    "binet-formulas": lambda b: binet_check(200),
+    "generating-function": lambda b: genfunc_check(20),
+    "ball-nesting": lambda b: ball_nesting_check(b.ball_cases, 24, 7),
+    "letter-counts": lambda b: _claim_letter_counts(25),
+    "df-convergence": lambda b: _claim_df_convergence(30),
+}
 
-ALL_CLAIM_IDS = tuple(sorted(claim_id for ids, _ in REGISTRY for claim_id in ids))
+ALL_CLAIM_IDS = tuple(sorted(REGISTRY))
 
 
 def run_claims(ids: Iterable[str] | None, budgets: Budgets | None = None) -> list[ClaimResult]:
-    """Evaluate only the entries returning a wanted id (all if None); results in stable id order."""
+    """Evaluate each wanted id once (all if None); results in stable id order."""
     b = budgets if budgets is not None else Budgets()
     wanted = ALL_CLAIM_IDS if ids is None else list(ids)
-    unknown = [i for i in wanted if i not in ALL_CLAIM_IDS]
+    unknown = [i for i in wanted if i not in REGISTRY]
     if unknown:
         raise ValueError(f"unknown claim id(s): {', '.join(unknown)}")
-    results = []
-    for entry_ids, run in REGISTRY:
-        if any(i in wanted for i in entry_ids):
-            out = run(b)
-            results += [r for r in (out if isinstance(out, tuple) else (out,)) if r.id in wanted]
-    return sorted(results, key=lambda r: r.id)
+    return [REGISTRY[i](b) for i in sorted(set(wanted))]
 
 
 def run_all_claims(budgets: Budgets | None = None) -> list[ClaimResult]:

@@ -73,15 +73,10 @@ def _word_length(kind: str, index: int) -> int:
     """Letters in the word `gen KIND INDEX` asks for, from the closed forms, building nothing."""
     if kind in ("morphic", "mechanical"):
         return index
-    from .goldenexact import fib
+    from .derived import letter_counts_closed_form
 
-    # F(101) is far past the cap, so clamp before calling fib; a negative index keeps its own error.
-    k = max(0, min(index, 100))
-    if kind == "y":  # |y_k| = F(k+2)
-        return fib(k + 2)
-    if kind == "q":  # |q_k| = F(k+2) + 2
-        return fib(k + 2) + 2
-    return fib(k + 1)  # fibab: |fw_k| = F(k+1)
+    # Index 100 is far past the cap, so clamp before the closed form; a bad index raises its error.
+    return sum(letter_counts_closed_form(kind, min(index, 100)))
 
 
 def _generate_word(kind: str, index: int) -> str:

@@ -86,9 +86,7 @@ def letter_densities(family: str, index: int) -> tuple[Fraction, Fraction]:
 
 def df_density(k: int) -> Fraction:
     """a-density of the k-th Fibonacci word: F(k)/F(k+1)."""
-    if k < 1:
-        raise ValueError("Fibonacci word index must be >= 1")
-    return Fraction(fib(k), fib(k + 1))
+    return letter_densities(FAMILY_FIBAB, k)[0]
 
 
 class DensityRow(Frozen):

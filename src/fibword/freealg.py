@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from ._frozen import Frozen
-from .claimresult import ClaimResult, refuted, verified
 from .derived import fib_word_ab
 from .words import AB, Alphabet, Word
 
@@ -147,83 +146,3 @@ def pow_fib(k: int) -> AlgebraElement:
     first = Word(AB, "a" + fk + fprev + fprev)
     second = Word(AB, "ab" + fk + fnext + fnext)
     return element_from_texts(AB, [first.text, second.text])
-
-
-def check_pow_invariance(k_max: int) -> ClaimResult:
-    """Are pow_fib(2), ..., pow_fib(k_max) all equal, as claimed?"""
-    claim_id = "pow-invariance"
-    location = "the power element built from Fibonacci words is independent of the index"
-    if k_max < 3:
-        raise ValueError("invariance check needs k_max >= 3")
-    previous = pow_fib(2)
-    for k in range(3, k_max + 1):
-        current = pow_fib(k)
-        if current != previous:
-            diff_word = next(
-                w for w in previous.words() + current.words()
-                if previous.coefficient(w) != current.coefficient(w)
-            )
-            return refuted(
-                claim_id,
-                location,
-                (
-                    f"pow({k - 1}) != pow({k}); monomial {diff_word.text} has "
-                    f"coefficient {previous.coefficient(diff_word)} in pow({k - 1}) "
-                    f"and {current.coefficient(diff_word)} in pow({k})"
-                ),
-                witness_pair=[k - 1, k],
-                differing_monomial=diff_word.text,
-                element_small=previous.render(),
-                element_large=current.render(),
-            )
-        previous = current
-    return verified(
-        claim_id,
-        location,
-        f"pow(k) identical for 2 <= k <= {k_max}",
-        k_max=k_max,
-    )
-
-
-def alpha_identity_check(alpha: int, w: Word) -> ClaimResult:
-    """Weighted power sums over a 0/1 word versus the triangular-number multiple.
-
-    Checks sum_k sum_{j=1..alpha} (alpha+1-j) * w_k^j = alpha(alpha+1)/2 * sum_k w_k
-    with exact integers.  Each power is evaluated literally once per letter value and
-    weighted by the number of positions that carry it.
-    """
-    claim_id = "alpha-identity"
-    location = "weighted power-sum identity for binary sequences"
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    text = w.text
-    # (value, positions) per letter present, in order of first appearance, so a bad letter
-    # fails int() or the binary test exactly as a left-to-right scan would.
-    letters = sorted((s for s in w.alphabet.symbols if s in text), key=text.index)
-    counted = [(int(s), text.count(s)) for s in letters]
-    if any(bit not in (0, 1) for bit, _ in counted):
-        raise ValueError("word must be binary")
-    lhs = 0
-    for bit, positions in counted:
-        for j in range(1, alpha + 1):
-            lhs += (alpha + 1 - j) * bit**j * positions
-    total = sum(bit * positions for bit, positions in counted)
-    rhs = alpha * (alpha + 1) // 2 * total
-    if lhs == rhs:
-        return verified(
-            claim_id,
-            location,
-            f"both sides equal {lhs} for alpha={alpha} on a length-{len(text)} word",
-            alpha=alpha,
-            length=len(text),
-            value=lhs,
-        )
-    return refuted(
-        claim_id,
-        location,
-        f"lhs {lhs} != rhs {rhs} for alpha={alpha}",
-        alpha=alpha,
-        length=len(text),
-        lhs=lhs,
-        rhs=rhs,
-    )

@@ -12,7 +12,6 @@ from fractions import Fraction
 from itertools import accumulate
 
 from ._frozen import Frozen
-from .claimresult import ClaimResult, refuted, verified
 from .goldenexact import (
     Surd,
     _surd,
@@ -22,7 +21,6 @@ from .goldenexact import (
     isqrt,
     surd_decimal,
 )
-from .morphism import fibonacci_morphism, fixed_point_prefix
 from .words import BINARY, Word
 
 
@@ -140,10 +138,11 @@ def max_discrepancy(limit: int) -> tuple[Surd, int]:
     return abs(Surd(Fraction(p, 2), Fraction(n, 2))), n
 
 
-def verify_beatty_partition(limit: int) -> ClaimResult:
-    """Each k <= limit must be hit exactly once across the two Beatty sequences."""
-    claim_id = "beatty-partition"
-    location = "complementary Beatty sequences for phi and phi^2 partition the positive integers"
+def beatty_hits(limit: int) -> bytearray:
+    """hits[k] for 0 <= k <= limit: how many of floor(m*phi), floor(m*phi^2) (m >= 1) equal k.
+
+    Beatty's theorem says hits[1:] is all ones.
+    """
     if limit < 1:
         raise ValueError("sweep bound must be >= 1")
     hits = bytearray(limit + 1)
@@ -152,44 +151,4 @@ def verify_beatty_partition(limit: int) -> ClaimResult:
         hits[zero_at] += 1
         if zero_at + m <= limit:
             hits[zero_at + m] += 1
-    for k in range(1, limit + 1):
-        if hits[k] != 1:
-            return refuted(
-                claim_id,
-                location,
-                f"k={k} is hit {hits[k]} times",
-                first_bad_k=k,
-                hit_count=hits[k],
-                n_checked=limit,
-            )
-    return verified(
-        claim_id,
-        location,
-        f"every k <= {limit} is hit exactly once",
-        n_checked=limit,
-    )
-
-
-def morphic_mechanical_agree(n: int) -> ClaimResult:
-    """Fixed point of 0->01, 1->0 versus the Beatty labelling, symbol by symbol."""
-    claim_id = "morphic-mechanical-agreement"
-    location = "the morphic fixed point equals the mechanical (Beatty) word"
-    if n < 1:
-        raise ValueError("prefix length must be >= 1")
-    morphic = fixed_point_prefix(fibonacci_morphism(), "0", n).text
-    mechanical = mechanical_prefix(n).text
-    if morphic == mechanical:
-        return verified(
-            claim_id,
-            location,
-            f"prefixes of length {n} are identical",
-            n_checked=n,
-        )
-    k = next(i for i, (x, y) in enumerate(zip(morphic, mechanical)) if x != y)
-    return refuted(
-        claim_id,
-        location,
-        f"first mismatch at index {k}: morphic {morphic[k]} vs mechanical {mechanical[k]}",
-        first_mismatch_index=k,
-        n_checked=n,
-    )
+    return hits

@@ -12,16 +12,16 @@ import time
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
-from fibword.claims import PUBLISHED_DENSITY_TABLE, Budgets, run_all_claims
+from fibword.claims import (
+    PUBLISHED_DENSITY_TABLE,
+    Budgets,
+    alpha_identity_check,
+    morphic_mechanical_agree,
+    run_all_claims,
+)
 from fibword.cli import main as cli_main
 from fibword.derived import density_table, df_density
-from fibword.freealg import (
-    AlgebraElement,
-    alg_add,
-    alg_mul,
-    alpha_identity_check,
-    pow_fib,
-)
+from fibword.freealg import AlgebraElement, alg_add, alg_mul, pow_fib
 from fibword.goldenexact import (
     INV_PHI,
     PHI,
@@ -33,12 +33,7 @@ from fibword.goldenexact import (
     zeckendorf_decode,
     zeckendorf_encode,
 )
-from fibword.mechanical import (
-    count_ones_upto,
-    max_discrepancy,
-    mechanical_prefix,
-    morphic_mechanical_agree,
-)
+from fibword.mechanical import count_ones_upto, max_discrepancy, mechanical_prefix
 from fibword.words import AB, ab_word, factor_set
 
 # Beatty floor coordinates the beatty command must reproduce (n = 1..30).

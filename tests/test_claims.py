@@ -12,7 +12,8 @@ from fibword.claims import (
     ball_nesting_check,
     binet_check,
     check_telescoping,
-    doubling_identity_check,
+    doubling_fib_check,
+    doubling_lucas_form_check,
     genfunc_check,
     run_all_claims,
     run_claims,
@@ -90,7 +91,7 @@ def test_check_telescoping_refuted():
 
 
 def test_doubling_identity_check():
-    fib_claim, lucas_claim = doubling_identity_check(50)
+    fib_claim, lucas_claim = doubling_fib_check(50), doubling_lucas_form_check(50)
     assert fib_claim.verified
     assert not lucas_claim.verified
     assert lucas_claim.payload["n"] == 3
@@ -101,7 +102,9 @@ def test_doubling_identity_check():
     assert fib(4) == fib(2) * lucas(2) == 3
     assert fib(2) == fib(1) * lucas(1) == 1
     with pytest.raises(ValueError):
-        doubling_identity_check(1)
+        doubling_fib_check(1)
+    with pytest.raises(ValueError):
+        doubling_lucas_form_check(1)
 
 
 def test_genfunc_check():

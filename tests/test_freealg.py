@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibword.claims import alpha_identity_check, check_pow_invariance
 from fibword.derived import fib_word_ab
 from fibword.freealg import (
     AlgebraElement,
     alg_add,
     alg_mul,
     alg_scalar,
-    alpha_identity_check,
-    check_pow_invariance,
     element_from_texts,
     pow_fib,
 )

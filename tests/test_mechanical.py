@@ -16,14 +16,13 @@ from fibword.goldenexact import (
     fib,
     int_surd_sign,
 )
+from fibword.claims import morphic_mechanical_agree, verify_beatty_partition
 from fibword.mechanical import (
     count_ones_upto,
     density_report,
     max_discrepancy,
     mechanical_prefix,
-    morphic_mechanical_agree,
     ones_counts,
-    verify_beatty_partition,
 )
 from fibword.morphism import fibonacci_morphism, fixed_point_prefix
 
@@ -219,6 +218,8 @@ def test_beatty_partition_claims():
         (lambda floors: floors[:9] + [floors[8]] + floors[10:], 14, 2),
         # floor(40 phi) = 64 dropped: 64 is hit by no m
         (lambda floors: floors[:39] + floors[40:], 64, 0),
+        # floor(124 phi) = 200, the last floor a sweep to 200 takes, dropped: 200 is hit by no m
+        (lambda floors: floors[:-1], 200, 0),
     ],
 )
 def test_beatty_partition_reports_first_bad_k(monkeypatch, corrupt, first_bad_k, hit_count):

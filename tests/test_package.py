@@ -50,6 +50,15 @@ def _modules_loaded_after(code: str) -> set[str]:
         # beatty renders its rows itself: the pure-Python json encoder (indent=2) is slow
         ("import fibword.cli\nfibword.cli.main(['beatty', '5', '--format', 'json'])", {"json", "csv"}),
         ("import fibword.cli\nfibword.cli.main(['beatty', '5', '--format', 'csv'])", {"json", "csv"}),
+        # the library below the verifier builds no verdicts
+        (
+            "import fibword.cli\nfibword.cli.main(['density', '5'])",
+            {"fibword.claimresult", "fibword.morphism", "fibword.claims"},
+        ),
+        (
+            "import fibword.cli\nfibword.cli.main(['gen', 'mechanical', '10'])",
+            {"fibword.claimresult", "fibword.morphism", "fibword.claims"},
+        ),
     ],
 )
 def test_each_request_imports_only_what_it_uses(code, unwanted):

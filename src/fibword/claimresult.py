@@ -1,4 +1,8 @@
-"""Adjudication records; `fibword.claims` is the one module that builds them."""
+"""Adjudication records.
+
+`fibword.claims` builds every one: its `_claim(id, location)` decorator turns
+a check's `(status, witness, payload)` into the `ClaimResult` below.
+"""
 
 from __future__ import annotations
 
@@ -41,11 +45,3 @@ class ClaimResult(Frozen):
             "witness": self.witness,
             "payload": dict(self.payload),
         }
-
-
-def verified(claim_id: str, location: str, witness: str, **payload: Any) -> ClaimResult:
-    return ClaimResult(claim_id, location, VERIFIED, witness, payload)
-
-
-def refuted(claim_id: str, location: str, witness: str, **payload: Any) -> ClaimResult:
-    return ClaimResult(claim_id, location, REFUTED, witness, payload)

@@ -8,14 +8,15 @@ table) are kept here as data so they can be compared against, never asserted.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections.abc import Iterable
 from fractions import Fraction
+from typing import Any
 
 from ._frozen import Frozen
-from .claimresult import ClaimResult, refuted, verified
+from .claimresult import REFUTED, VERIFIED, ClaimResult
 from .derived import (
-    FAMILIES,
     FAMILY_FIBAB,
     FAMILY_Q,
     FAMILY_Y,
@@ -35,7 +36,6 @@ from .goldenexact import (
     PHI,
     PHI_BAR,
     SQRT5,
-    Surd,
     fib,
     fraction_decimal,
     int_surd_sign,
@@ -82,6 +82,34 @@ class Budgets(Frozen):
                 raise ValueError(f"budget {name} must be >= {minimum}, got {value}")
 
 
+# -- verdicts --------------------------------------------------------------------
+
+# What a check returns: (status, witness, payload).  `_claim` adds the id and location.
+Verdict = tuple[str, str, dict[str, Any]]
+
+
+def verified(witness: str, **payload: Any) -> Verdict:
+    return VERIFIED, witness, payload
+
+
+def refuted(witness: str, **payload: Any) -> Verdict:
+    return REFUTED, witness, payload
+
+
+def _claim(claim_id: str, location: str):
+    """Decorator for a check of one claim: the check returns its `Verdict`, and the
+    decorated function returns the `ClaimResult` under this id and location."""
+
+    def decorate(check):
+        @functools.wraps(check)
+        def result(*args: Any, **kwargs: Any) -> ClaimResult:
+            return ClaimResult(claim_id, location, *check(*args, **kwargs))
+
+        return result
+
+    return decorate
+
+
 # -- series identities ---------------------------------------------------------
 
 
@@ -96,11 +124,10 @@ def telescope_terms(m: int, k: int) -> tuple[Fraction, Fraction]:
     return Fraction(scale, lu * lu + 1), Fraction(scale, lu * lu - 1)
 
 
-def check_telescoping(m: int, k_max: int) -> ClaimResult:
+@_claim("telescoping-identity", "claimed telescoping series of scaled Fibonacci-Lucas ratios")
+def check_telescoping(m: int, k_max: int) -> Verdict:
     """Is a_k = T_k - T_{k+1}, and do the terms shrink, as the claimed
     telescoping series requires?"""
-    claim_id = "telescoping-identity"
-    location = "claimed telescoping series of scaled Fibonacci-Lucas ratios"
     if k_max < 2:
         raise ValueError("telescoping check needs k_max >= 2")
     terms = [telescope_terms(m, k) for k in range(1, k_max + 1)]
@@ -109,12 +136,7 @@ def check_telescoping(m: int, k_max: int) -> ClaimResult:
         t_next = terms[k][1]
         if a_k != t_k - t_next:
             return refuted(
-                claim_id,
-                location,
-                (
-                    f"m={m}, k={k}: a_{k} = {a_k} but "
-                    f"T_{k} - T_{k + 1} = {t_k} - {t_next} = {t_k - t_next}"
-                ),
+                f"m={m}, k={k}: a_{k} = {a_k} but T_{k} - T_{k + 1} = {t_k} - {t_next} = {t_k - t_next}",
                 m=m,
                 k=k,
                 a_k=str(a_k),
@@ -126,53 +148,36 @@ def check_telescoping(m: int, k_max: int) -> ClaimResult:
     for k in range(1, k_max):
         if terms[k][0] >= terms[k - 1][0]:
             return refuted(
-                claim_id,
-                location,
                 f"m={m}: a_{k + 1} = {terms[k][0]} >= a_{k} = {terms[k - 1][0]}, terms do not shrink",
                 m=m,
                 k=k,
             )
-    return verified(
-        claim_id,
-        location,
-        f"telescoping and monotone decay hold for m={m}, k < {k_max}",
-        m=m,
-        k_max=k_max,
-    )
+    return verified(f"telescoping and monotone decay hold for m={m}, k < {k_max}", m=m, k_max=k_max)
 
 
-def doubling_fib_check(n_max: int) -> ClaimResult:
+@_claim("doubling-fib", "Fibonacci doubling identity F(2n) = F(n) L(n)")
+def doubling_fib_check(n_max: int) -> Verdict:
     """Check F(2n) = F(n)L(n) for 2 <= n <= n_max."""
-    claim_id = "doubling-fib"
-    location = "Fibonacci doubling identity F(2n) = F(n) L(n)"
     if n_max < 2:
         raise ValueError("doubling check needs n_max >= 2")
     for n in range(2, n_max + 1):
         if fib(2 * n) != fib(n) * lucas(n):
-            return refuted(
-                claim_id,
-                location,
-                f"n={n}: F({2 * n}) = {fib(2 * n)} != F({n}) L({n}) = {fib(n) * lucas(n)}",
-                n=n,
-            )
-    return verified(claim_id, location, f"holds for all 2 <= n <= {n_max}", n_max=n_max)
+            return refuted(f"n={n}: F({2 * n}) = {fib(2 * n)} != F({n}) L({n}) = {fib(n) * lucas(n)}", n=n)
+    return verified(f"holds for all 2 <= n <= {n_max}", n_max=n_max)
 
 
-def doubling_lucas_form_check(n_max: int) -> ClaimResult:
+@_claim("doubling-lucas-form", "Lucas doubling identity as stated, L(2n) = L(n)^2 - 2")
+def doubling_lucas_form_check(n_max: int) -> Verdict:
     """Check the stated L(2n) = L(n)^2 - 2 for 2 <= n <= n_max.
 
     The stated form drops the sign term of L(2n) = L(n)^2 - 2(-1)^n, so it
     fails at odd n (already at n = 1, outside this sweep's domain).
     """
-    claim_id = "doubling-lucas-form"
-    location = "Lucas doubling identity as stated, L(2n) = L(n)^2 - 2"
     if n_max < 2:
         raise ValueError("doubling check needs n_max >= 2")
     for n in range(2, n_max + 1):
         if lucas(2 * n) != lucas(n) ** 2 - 2:
             return refuted(
-                claim_id,
-                location,
                 f"n={n}: L({2 * n}) = {lucas(2 * n)} but L({n})^2 - 2 = {lucas(n) ** 2 - 2}",
                 n=n,
                 lucas_2n=lucas(2 * n),
@@ -180,17 +185,16 @@ def doubling_lucas_form_check(n_max: int) -> ClaimResult:
                 signed_form_value=lucas(n) ** 2 - 2 * (-1) ** n,
                 note="the signed form L(2n) = L(n)^2 - 2(-1)^n holds; n=1 also fails the stated form",
             )
-    return verified(claim_id, location, f"holds for all 2 <= n <= {n_max}", n_max=n_max)
+    return verified(f"holds for all 2 <= n <= {n_max}", n_max=n_max)
 
 
-def genfunc_check(n_max: int) -> ClaimResult:
+@_claim("generating-function", "x / (1 - x - x^2) generates the Fibonacci sequence")
+def genfunc_check(n_max: int) -> Verdict:
     """Truncated expansion of x / (1 - x - x^2) versus the Fibonacci numbers.
 
     Long division against denominator 1 - x - x^2 gives exactly the
     recurrence c_k = c_{k-1} + c_{k-2} once seeded with c_0 = 0, c_1 = 1.
     """
-    claim_id = "generating-function"
-    location = "x / (1 - x - x^2) generates the Fibonacci sequence"
     if n_max < 1:
         raise ValueError("expansion order must be >= 1")
     numerator = [Fraction(0), Fraction(1)]  # x
@@ -204,43 +208,31 @@ def genfunc_check(n_max: int) -> ClaimResult:
     for k, c in enumerate(coefficients):
         if c != fib(k):
             return refuted(
-                claim_id,
-                location,
                 f"coefficient of x^{k} is {c}, expected F({k}) = {fib(k)}",
                 k=k,
                 coefficient=str(c),
                 expected=fib(k),
             )
     return verified(
-        claim_id,
-        location,
         f"coefficients of x^0..x^{n_max} equal F(0)..F({n_max})",
         n_max=n_max,
         first_coefficients=[str(c) for c in coefficients[: min(8, len(coefficients))]],
     )
 
 
-def binet_check(n_max: int) -> ClaimResult:
+@_claim("binet-formulas", "Binet formulas for Fibonacci and Lucas numbers")
+def binet_check(n_max: int) -> Verdict:
     """Surd exponentiation versus the recurrences, exactly, for n <= n_max."""
-    claim_id = "binet-formulas"
-    location = "Binet formulas for Fibonacci and Lucas numbers"
     if n_max < 1:
         raise ValueError("binet check needs n_max >= 1")
     for n in range(n_max + 1):
         phi_n = PHI**n
         bar_n = PHI_BAR**n
-        if (phi_n - bar_n) / SQRT5 != Surd.from_rational(fib(n)):
-            return refuted(
-                claim_id, location, f"(phi^{n} - phibar^{n})/sqrt5 != F({n})", n=n
-            )
-        if phi_n + bar_n != Surd.from_rational(lucas(n)):
-            return refuted(claim_id, location, f"phi^{n} + phibar^{n} != L({n})", n=n)
-    return verified(
-        claim_id,
-        location,
-        f"both formulas exact for 0 <= n <= {n_max}",
-        n_max=n_max,
-    )
+        if (phi_n - bar_n) / SQRT5 != fib(n):
+            return refuted(f"(phi^{n} - phibar^{n})/sqrt5 != F({n})", n=n)
+        if phi_n + bar_n != lucas(n):
+            return refuted(f"phi^{n} + phibar^{n} != L({n})", n=n)
+    return verified(f"both formulas exact for 0 <= n <= {n_max}", n_max=n_max)
 
 
 # -- ultrametric ball nesting ----------------------------------------------------
@@ -264,14 +256,13 @@ def _random_bits(rng: random.Random, length: int) -> str:
     return format(rng.getrandbits(length), f"0{length}b") if length else ""
 
 
-def ball_nesting_check(cases: int, word_len: int, seed: int) -> ClaimResult:
+@_claim("ball-nesting", "two intersecting open balls in the word ultrametric are nested")
+def ball_nesting_check(cases: int, word_len: int, seed: int) -> Verdict:
     """Intersecting open balls must be nested (restricted to equal-length words).
 
     Bulk cases use the prefix characterization of balls; a slice of small
     universes is checked exhaustively against the raw distance definition.
     """
-    claim_id = "ball-nesting"
-    location = "two intersecting open balls in the word ultrametric are nested"
     if cases < 1 or word_len < 1:
         raise ValueError("cases and word_len must be >= 1")
     rng = random.Random(seed)
@@ -290,8 +281,6 @@ def ball_nesting_check(cases: int, word_len: int, seed: int) -> ClaimResult:
         ball_v = _ball_members(universe, v, s)
         if ball_u & ball_v and not (ball_u <= ball_v or ball_v <= ball_u):
             return refuted(
-                claim_id,
-                location,
                 f"balls B({u}, 2^-{r}) and B({v}, 2^-{s}) intersect but neither contains the other",
                 u=u.text,
                 v=v.text,
@@ -314,17 +303,9 @@ def ball_nesting_check(cases: int, word_len: int, seed: int) -> ClaimResult:
         contains_vu = min(r, length) <= min(s, length) and v[: r + 1] == u[: r + 1]
         if intersects != (contains_uv or contains_vu):
             return refuted(
-                claim_id,
-                location,
-                f"balls B({u}, 2^-{r}) and B({v}, 2^-{s}) violate the nesting law",
-                u=u,
-                v=v,
-                r=r,
-                s=s,
+                f"balls B({u}, 2^-{r}) and B({v}, 2^-{s}) violate the nesting law", u=u, v=v, r=r, s=s
             )
     return verified(
-        claim_id,
-        location,
         f"nesting law holds on {cases} sampled ball pairs "
         f"({exhaustive} verified by exhaustive enumeration)",
         cases=cases,
@@ -336,58 +317,38 @@ def ball_nesting_check(cases: int, word_len: int, seed: int) -> ClaimResult:
 # -- word-structure claims ---------------------------------------------------------
 
 
-def verify_beatty_partition(limit: int) -> ClaimResult:
+@_claim(
+    "beatty-partition", "complementary Beatty sequences for phi and phi^2 partition the positive integers"
+)
+def verify_beatty_partition(limit: int) -> Verdict:
     """Each k <= limit must be hit exactly once across the two Beatty sequences."""
-    claim_id = "beatty-partition"
-    location = "complementary Beatty sequences for phi and phi^2 partition the positive integers"
     hits = beatty_hits(limit)
     rest = hits[1:].lstrip(b"\x01")  # starts at the first k not hit exactly once
     if not rest:
-        return verified(
-            claim_id,
-            location,
-            f"every k <= {limit} is hit exactly once",
-            n_checked=limit,
-        )
+        return verified(f"every k <= {limit} is hit exactly once", n_checked=limit)
     k = limit + 1 - len(rest)
-    return refuted(
-        claim_id,
-        location,
-        f"k={k} is hit {rest[0]} times",
-        first_bad_k=k,
-        hit_count=rest[0],
-        n_checked=limit,
-    )
+    return refuted(f"k={k} is hit {rest[0]} times", first_bad_k=k, hit_count=rest[0], n_checked=limit)
 
 
-def morphic_mechanical_agree(n: int) -> ClaimResult:
+@_claim("morphic-mechanical-agreement", "the morphic fixed point equals the mechanical (Beatty) word")
+def morphic_mechanical_agree(n: int) -> Verdict:
     """Fixed point of 0->01, 1->0 versus the Beatty labelling, symbol by symbol."""
-    claim_id = "morphic-mechanical-agreement"
-    location = "the morphic fixed point equals the mechanical (Beatty) word"
     if n < 1:
         raise ValueError("prefix length must be >= 1")
     morphic = fixed_point_prefix(fibonacci_morphism(), "0", n).text
     mechanical = mechanical_prefix(n).text
     if morphic == mechanical:
-        return verified(
-            claim_id,
-            location,
-            f"prefixes of length {n} are identical",
-            n_checked=n,
-        )
+        return verified(f"prefixes of length {n} are identical", n_checked=n)
     k = next(i for i, (x, y) in enumerate(zip(morphic, mechanical)) if x != y)
     return refuted(
-        claim_id,
-        location,
         f"first mismatch at index {k}: morphic {morphic[k]} vs mechanical {mechanical[k]}",
         first_mismatch_index=k,
         n_checked=n,
     )
 
 
-def _claim_density_convergence(scan_n: int) -> ClaimResult:
-    claim_id = "density-convergence"
-    location = "symbol densities of the Fibonacci word are 1/phi and 1/phi^2"
+@_claim("density-convergence", "symbol densities of the Fibonacci word are 1/phi and 1/phi^2")
+def _claim_density_convergence(scan_n: int) -> Verdict:
     for n, count1 in enumerate(ones_counts(scan_n), 1):
         if n < 2:
             continue
@@ -395,17 +356,9 @@ def _claim_density_convergence(scan_n: int) -> ClaimResult:
         p = 3 * count1 - 2 * n
         q = count1
         if int_surd_sign(14 - (p * p + 5 * q * q), 6 - 2 * p * q) <= 0:
-            return refuted(
-                claim_id,
-                location,
-                f"|count1({n})/{n} - 1/phi^2| >= 1/{n}",
-                n=n,
-                count1=count1,
-            )
+            return refuted(f"|count1({n})/{n} - 1/phi^2| >= 1/{n}", n=n, count1=count1)
     final_density = Fraction(count1, scan_n)
     return verified(
-        claim_id,
-        location,
         f"|count1(n)/n - 1/phi^2| < 1/n for all 2 <= n <= {scan_n}",
         scan_n=scan_n,
         density1_at_bound=str(final_density),
@@ -414,14 +367,11 @@ def _claim_density_convergence(scan_n: int) -> ClaimResult:
     )
 
 
-def _claim_discrepancy_bound(sweep_n: int) -> ClaimResult:
-    claim_id = "discrepancy-bound"
-    location = "ones-count of prefixes deviates from n/phi^2 by O(1); constant 1 certified"
+@_claim("discrepancy-bound", "ones-count of prefixes deviates from n/phi^2 by O(1); constant 1 certified")
+def _claim_discrepancy_bound(sweep_n: int) -> Verdict:
     value, attained_at = max_discrepancy(sweep_n)
-    if (Surd.from_rational(1) - value).sign() > 0:
+    if value < 1:
         return verified(
-            claim_id,
-            location,
             f"max deviation over n <= {sweep_n} is {surd_decimal(value, 6)} < 1, at n={attained_at}",
             sweep_n=sweep_n,
             value_exact=str(value),
@@ -430,8 +380,6 @@ def _claim_discrepancy_bound(sweep_n: int) -> ClaimResult:
             constant=1,
         )
     return refuted(
-        claim_id,
-        location,
         f"deviation {surd_decimal(value, 6)} >= 1 at n={attained_at}",
         sweep_n=sweep_n,
         value_exact=str(value),
@@ -439,88 +387,49 @@ def _claim_discrepancy_bound(sweep_n: int) -> ClaimResult:
     )
 
 
-def _claim_local_no_11(sweep_n: int) -> ClaimResult:
-    claim_id = "local-no-11"
-    location = "the Fibonacci word contains no factor 11"
-    prefix = mechanical_prefix(sweep_n)
-    position = prefix.text.find("11")
+@_claim("local-no-11", "the Fibonacci word contains no factor 11")
+def _claim_local_no_11(sweep_n: int) -> Verdict:
+    position = mechanical_prefix(sweep_n).text.find("11")
     if position == -1:
-        return verified(
-            claim_id,
-            location,
-            f"no factor 11 in the length-{sweep_n} prefix",
-            sweep_n=sweep_n,
-        )
-    return refuted(
-        claim_id,
-        location,
-        f"factor 11 at position {position + 1}",
-        position=position + 1,
-    )
+        return verified(f"no factor 11 in the length-{sweep_n} prefix", sweep_n=sweep_n)
+    return refuted(f"factor 11 at position {position + 1}", position=position + 1)
 
 
-def _claim_local_three_window(scan_n: int) -> ClaimResult:
-    claim_id = "local-three-window"
-    location = "every length-3 factor of the Fibonacci word contains exactly one 1"
+@_claim("local-three-window", "every length-3 factor of the Fibonacci word contains exactly one 1")
+def _claim_local_three_window(scan_n: int) -> Verdict:
     text = mechanical_prefix(scan_n).text
     for i in range(len(text) - 2):
         window = text[i : i + 3]
         ones = window.count("1")
         if ones != 1:
             return refuted(
-                claim_id,
-                location,
                 f"factor {window} at position {i + 1} contains {ones} ones",
                 factor=window,
                 position=i + 1,
                 ones=ones,
                 scan_n=scan_n,
             )
-    return verified(
-        claim_id,
-        location,
-        f"all length-3 windows of the length-{scan_n} prefix have exactly one 1",
-        scan_n=scan_n,
-    )
+    return verified(f"all length-3 windows of the length-{scan_n} prefix have exactly one 1", scan_n=scan_n)
 
 
-def _claim_y_length(y_max: int) -> ClaimResult:
-    claim_id = "y-length-formula"
-    location = "the n-th y-word has length F(n+2)"
+@_claim("y-length-formula", "the n-th y-word has length F(n+2)")
+def _claim_y_length(y_max: int) -> Verdict:
     for n, text in zip(range(y_max + 1), y_words()):
         if len(text) != fib(n + 2):
-            return refuted(
-                claim_id,
-                location,
-                f"|y_{n}| = {len(text)} != F({n + 2}) = {fib(n + 2)}",
-                n=n,
-            )
-    return verified(
-        claim_id,
-        location,
-        f"|y_n| = F(n+2) for 0 <= n <= {y_max}",
-        y_max=y_max,
-    )
+            return refuted(f"|y_{n}| = {len(text)} != F({n + 2}) = {fib(n + 2)}", n=n)
+    return verified(f"|y_n| = F(n+2) for 0 <= n <= {y_max}", y_max=y_max)
 
 
-def _claim_letter_counts(letters_max: int) -> ClaimResult:
-    claim_id = "letter-counts"
-    location = "closed-form letter counts for the three Fibonacci-type families"
-    ranges = {
-        FAMILY_Y: range(0, letters_max + 1),
-        FAMILY_Q: range(1, letters_max + 1),
-        FAMILY_FIBAB: range(1, letters_max + 1),
-    }
-    builders = {FAMILY_Y: y_word, FAMILY_Q: q_word, FAMILY_FIBAB: fib_word_ab}
-    for family in FAMILIES:
-        for index in ranges[family]:
-            word = builders[family](index)
-            scanned = (word.text.count("a"), word.text.count("b"))
+@_claim("letter-counts", "closed-form letter counts for the three Fibonacci-type families")
+def _claim_letter_counts(letters_max: int) -> Verdict:
+    families = ((FAMILY_Y, y_word, 0), (FAMILY_Q, q_word, 1), (FAMILY_FIBAB, fib_word_ab, 1))
+    for family, build, first in families:
+        for index in range(first, letters_max + 1):
+            text = build(index).text
+            scanned = (text.count("a"), text.count("b"))
             closed = letter_counts_closed_form(family, index)
             if scanned != closed:
                 return refuted(
-                    claim_id,
-                    location,
                     f"family {family}, index {index}: scan {scanned} != closed form {closed}",
                     family=family,
                     index=index,
@@ -528,8 +437,6 @@ def _claim_letter_counts(letters_max: int) -> ClaimResult:
                     closed_form=list(closed),
                 )
     return verified(
-        claim_id,
-        location,
         f"closed forms match direct scans for all indices <= {letters_max}, all families",
         letters_max=letters_max,
         indexing_note=(
@@ -539,30 +446,18 @@ def _claim_letter_counts(letters_max: int) -> ClaimResult:
     )
 
 
-def _claim_framed_density_limit(framed_m_max: int) -> ClaimResult:
-    claim_id = "framed-density-limit"
-    location = "letter densities of the framed family tend to 1/phi and 1/phi^2 (published density table)"
+@_claim(
+    "framed-density-limit",
+    "letter densities of the framed family tend to 1/phi and 1/phi^2 (published density table)",
+)
+def _claim_framed_density_limit(framed_m_max: int) -> Verdict:
     tolerance = Fraction(1, 1000)
     for m in range(13, framed_m_max + 1):
         dens_a, dens_b = letter_densities(FAMILY_Q, m)
-        gap_a = abs(Surd.from_rational(dens_a) - INV_PHI)
-        gap_b = abs(Surd.from_rational(dens_b) - INV_PHI_SQUARED)
-        if (Surd.from_rational(tolerance) - gap_a).sign() <= 0:
-            return refuted(
-                claim_id,
-                location,
-                f"|dens_a(q_{m}) - 1/phi| >= 1/1000",
-                m=m,
-                dens_a=str(dens_a),
-            )
-        if (Surd.from_rational(tolerance) - gap_b).sign() <= 0:
-            return refuted(
-                claim_id,
-                location,
-                f"|dens_b(q_{m}) - 1/phi^2| >= 1/1000",
-                m=m,
-                dens_b=str(dens_b),
-            )
+        if abs(dens_a - INV_PHI) >= tolerance:
+            return refuted(f"|dens_a(q_{m}) - 1/phi| >= 1/1000", m=m, dens_a=str(dens_a))
+        if abs(dens_b - INV_PHI_SQUARED) >= tolerance:
+            return refuted(f"|dens_b(q_{m}) - 1/phi^2| >= 1/1000", m=m, dens_b=str(dens_b))
     # Compare the exact table against the published one, as data.
     matches = []
     divergences = []
@@ -579,8 +474,6 @@ def _claim_framed_density_limit(framed_m_max: int) -> ClaimResult:
                     {"m": m, "column": column, "published": pub_cell, "computed": exact_cell}
                 )
     return verified(
-        claim_id,
-        location,
         (
             f"|dens_a(q_m) - 1/phi| < 1/1000 and |dens_b(q_m) - 1/phi^2| < 1/1000 "
             f"certified exactly for 13 <= m <= {framed_m_max}; published table matches the "
@@ -592,35 +485,23 @@ def _claim_framed_density_limit(framed_m_max: int) -> ClaimResult:
     )
 
 
-def _claim_df_convergence(df_k: int) -> ClaimResult:
-    claim_id = "df-convergence"
-    location = "a-density of the Fibonacci words converges to phi - 1"
+@_claim("df-convergence", "a-density of the Fibonacci words converges to phi - 1")
+def _claim_df_convergence(df_k: int) -> Verdict:
     density = df_density(df_k)
-    gap = abs(Surd.from_rational(density) - INV_PHI)
-    bound = Fraction(1, 10**6)
-    if (Surd.from_rational(bound) - gap).sign() > 0:
+    if abs(density - INV_PHI) < Fraction(1, 10**6):
         return verified(
-            claim_id,
-            location,
             f"|df({df_k}) - (phi - 1)| < 10^-6, exactly",
             df_k=df_k,
             density=str(density),
             density_decimal=fraction_decimal(density, 6),
             limit_decimal=surd_decimal(INV_PHI, 6),
         )
-    return refuted(
-        claim_id,
-        location,
-        f"|df({df_k}) - (phi - 1)| >= 10^-6",
-        df_k=df_k,
-        density=str(density),
-    )
+    return refuted(f"|df({df_k}) - (phi - 1)| >= 10^-6", df_k=df_k, density=str(density))
 
 
-def check_pow_invariance(k_max: int) -> ClaimResult:
+@_claim("pow-invariance", "the power element built from Fibonacci words is independent of the index")
+def check_pow_invariance(k_max: int) -> Verdict:
     """Are pow_fib(2), ..., pow_fib(k_max) all equal, as claimed?"""
-    claim_id = "pow-invariance"
-    location = "the power element built from Fibonacci words is independent of the index"
     if k_max < 3:
         raise ValueError("invariance check needs k_max >= 3")
     previous = pow_fib(2)
@@ -632,8 +513,6 @@ def check_pow_invariance(k_max: int) -> ClaimResult:
                 if previous.coefficient(w) != current.coefficient(w)
             )
             return refuted(
-                claim_id,
-                location,
                 (
                     f"pow({k - 1}) != pow({k}); monomial {diff_word.text} has "
                     f"coefficient {previous.coefficient(diff_word)} in pow({k - 1}) "
@@ -645,26 +524,18 @@ def check_pow_invariance(k_max: int) -> ClaimResult:
                 element_large=current.render(),
             )
         previous = current
-    return verified(
-        claim_id,
-        location,
-        f"pow(k) identical for 2 <= k <= {k_max}",
-        k_max=k_max,
-    )
+    return verified(f"pow(k) identical for 2 <= k <= {k_max}", k_max=k_max)
 
 
-def _claim_pow_value() -> ClaimResult:
-    claim_id = "pow-value"
-    location = "claimed constant value of the power element"
+@_claim("pow-value", "claimed constant value of the power element")
+def _claim_pow_value() -> Verdict:
     computed = pow_fib(2)
     claimed = element_from_texts(AB, CLAIMED_POW_WORDS)
     if computed == claimed:
-        return verified(claim_id, location, "pow(2) equals the claimed constant")
+        return verified("pow(2) equals the claimed constant")
     computed_words = [w.text for w in computed.words()]
     claimed_words = list(CLAIMED_POW_WORDS)
     return refuted(
-        claim_id,
-        location,
         (
             f"pow(2) = {computed.render()} but the claimed value is "
             f"{claimed.render()}; second monomial has {len(computed_words[1])} letters "
@@ -675,15 +546,14 @@ def _claim_pow_value() -> ClaimResult:
     )
 
 
-def alpha_identity_check(alpha: int, w: Word) -> ClaimResult:
+@_claim("alpha-identity", "weighted power-sum identity for binary sequences")
+def alpha_identity_check(alpha: int, w: Word) -> Verdict:
     """Weighted power sums over a 0/1 word versus the triangular-number multiple.
 
     Checks sum_k sum_{j=1..alpha} (alpha+1-j) * w_k^j = alpha(alpha+1)/2 * sum_k w_k
     with exact integers.  Each power is evaluated literally once per letter value and
     weighted by the number of positions that carry it.
     """
-    claim_id = "alpha-identity"
-    location = "weighted power-sum identity for binary sequences"
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     text = w.text
@@ -701,25 +571,18 @@ def alpha_identity_check(alpha: int, w: Word) -> ClaimResult:
     rhs = alpha * (alpha + 1) // 2 * total
     if lhs == rhs:
         return verified(
-            claim_id,
-            location,
             f"both sides equal {lhs} for alpha={alpha} on a length-{len(text)} word",
             alpha=alpha,
             length=len(text),
             value=lhs,
         )
     return refuted(
-        claim_id,
-        location,
-        f"lhs {lhs} != rhs {rhs} for alpha={alpha}",
-        alpha=alpha,
-        length=len(text),
-        lhs=lhs,
-        rhs=rhs,
+        f"lhs {lhs} != rhs {rhs} for alpha={alpha}", alpha=alpha, length=len(text), lhs=lhs, rhs=rhs
     )
 
 
 def _claim_alpha_identity(alpha_max: int, scan_n: int) -> ClaimResult:
+    """`alpha_identity_check` for alpha = 1..alpha_max on one prefix, as one claim."""
     prefix = mechanical_prefix(scan_n)
     last = None
     for alpha in range(1, alpha_max + 1):
@@ -727,13 +590,15 @@ def _claim_alpha_identity(alpha_max: int, scan_n: int) -> ClaimResult:
         if not last.verified:
             return last
     assert last is not None
-    return verified(
+    return ClaimResult(
         last.id,
         last.location,
-        f"identity exact for alpha in 1..{alpha_max} on the length-{scan_n} prefix",
-        alpha_max=alpha_max,
-        scan_n=scan_n,
-        value_at_alpha_max=last.payload["value"],
+        *verified(
+            f"identity exact for alpha in 1..{alpha_max} on the length-{scan_n} prefix",
+            alpha_max=alpha_max,
+            scan_n=scan_n,
+            value_at_alpha_max=last.payload["value"],
+        ),
     )
 
 

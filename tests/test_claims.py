@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fibword import claims
 from fibword.claimresult import ClaimResult
 from fibword.claims import (
     ALL_CLAIM_IDS,
@@ -19,7 +20,7 @@ from fibword.claims import (
     run_claims,
     telescope_terms,
 )
-from fibword.goldenexact import fib, lucas
+from fibword.goldenexact import Surd, fib, lucas
 from fibword.mechanical import mechanical_prefix
 from fibword.words import binary_word
 
@@ -150,8 +151,6 @@ def test_ball_nesting_check_refutes_a_non_ultrametric(monkeypatch):
 
 
 def test_ball_nesting_enumerates_every_word_of_the_center_length(monkeypatch):
-    from fibword import claims
-
     seen = []
 
     def spy(universe, center, r):
@@ -273,3 +272,147 @@ def test_framed_density_payload_documents_published_table(all_claims):
     y11 = next(d for d in divergent if d["m"] == 11 and d["column"] == "dens_a_y")
     assert y11["published"] == "0.618025"
     assert y11["computed"] == "0.618026"
+
+
+MUTANT_BUDGETS = Budgets(sweep_n=2_000, scan_n=1_000, ball_cases=50)
+
+
+def _one_at(index):
+    """Mutate a word builder: the word it builds, with letter `index` set to 1."""
+
+    def mutate(build):
+        def mutant(*args):
+            text = build(*args).text
+            return binary_word(text[:index] + "1" + text[index + 1 :])
+
+        return mutant
+
+    return mutate
+
+
+# case -> (the `fibword.claims` global to rebind, original -> mutant, and the witness and payload
+# of each record the mutant refutes anew).  Together the cases reach every refuted branch that a
+# binary word can reach; `alpha-identity` holds on any 0/1 word, so it never refutes.
+REFUTING_MUTANTS = {
+    "fib-plus-1-at-20": (
+        "fib",
+        lambda f: lambda n: f(n) + (n == 20),
+        {
+            "binet-formulas": ("(phi^20 - phibar^20)/sqrt5 != F(20)", {"n": 20}),
+            "doubling-fib": ("n=10: F(20) = 6766 != F(10) L(10) = 6765", {"n": 10}),
+            "generating-function": (
+                "coefficient of x^20 is 6765, expected F(20) = 6766",
+                {"k": 20, "coefficient": "6765", "expected": 6766},
+            ),
+            "y-length-formula": ("|y_18| = 6765 != F(20) = 6766", {"n": 18}),
+        },
+    ),
+    "lucas-plus-1-at-7": (
+        "lucas",
+        lambda f: lambda n: f(n) + (n == 7),
+        {
+            "binet-formulas": ("phi^7 + phibar^7 != L(7)", {"n": 7}),
+            "doubling-fib": ("n=7: F(14) = 377 != F(7) L(7) = 390", {"n": 7}),
+        },
+    ),
+    "telescope-terms-flat": (
+        "telescope_terms",
+        lambda f: lambda m, k: (1, -k),
+        {"telescoping-identity": ("m=1: a_2 = 1 >= a_1 = 1, terms do not shrink", {"m": 1, "k": 1})},
+    ),
+    "ones-counts-jump": (
+        "ones_counts",
+        lambda f: lambda limit: [0, 1, 5, 5, 5],
+        {"density-convergence": ("|count1(3)/3 - 1/phi^2| >= 1/3", {"n": 3, "count1": 5})},
+    ),
+    "discrepancy-one": (
+        "max_discrepancy",
+        lambda f: lambda limit: (Surd(1, 0), 7),
+        {
+            "discrepancy-bound": (
+                "deviation 1.000000 >= 1 at n=7",
+                {"sweep_n": 2000, "value_exact": "(1) + (0)*sqrt5", "attained_at": 7},
+            )
+        },
+    ),
+    "mechanical-1-at-3": (
+        "mechanical_prefix",
+        _one_at(3),
+        {
+            "local-no-11": ("factor 11 at position 4", {"position": 4}),
+            "local-three-window": (
+                "factor 101 at position 2 contains 2 ones",
+                {"factor": "101", "position": 2, "ones": 2, "scan_n": 1000},
+            ),
+            "morphic-mechanical-agreement": (
+                "first mismatch at index 3: morphic 0 vs mechanical 1",
+                {"first_mismatch_index": 3, "n_checked": 2000},
+            ),
+        },
+    ),
+    "morphic-1-at-5": (
+        "fixed_point_prefix",
+        _one_at(5),
+        {
+            "morphic-mechanical-agreement": (
+                "first mismatch at index 5: morphic 1 vs mechanical 0",
+                {"first_mismatch_index": 5, "n_checked": 2000},
+            )
+        },
+    ),
+    "q4-counts-zero": (
+        "letter_counts_closed_form",
+        lambda f: lambda family, index: (0, 0) if (family, index) == ("q", 4) else f(family, index),
+        {
+            "letter-counts": (
+                "family q, index 4: scan (6, 4) != closed form (0, 0)",
+                {"family": "q", "index": 4, "scanned": [6, 4], "closed_form": [0, 0]},
+            )
+        },
+    ),
+    "densities-half": (
+        "letter_densities",
+        lambda f: lambda family, index: (Fraction(1, 2), Fraction(1, 2)),
+        {"framed-density-limit": ("|dens_a(q_13) - 1/phi| >= 1/1000", {"m": 13, "dens_a": "1/2"})},
+    ),
+    "density-b-half": (
+        "letter_densities",
+        lambda f: lambda family, index: (Fraction(618034, 10**6), Fraction(1, 2)),
+        {"framed-density-limit": ("|dens_b(q_13) - 1/phi^2| >= 1/1000", {"m": 13, "dens_b": "1/2"})},
+    ),
+    "df-half": (
+        "df_density",
+        lambda f: lambda k: Fraction(1, 2),
+        {"df-convergence": ("|df(30) - (phi - 1)| >= 10^-6", {"df_k": 30, "density": "1/2"})},
+    ),
+    "y-words-short": (
+        "y_words",
+        lambda f: lambda: ["a", "ab", "aba", "abaa"],
+        {"y-length-formula": ("|y_3| = 4 != F(5) = 5", {"n": 3})},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def mutant_baseline():
+    return {r.id: r.record() for r in run_all_claims(MUTANT_BUDGETS)}
+
+
+@pytest.mark.parametrize(
+    "attr, mutate, expected", list(REFUTING_MUTANTS.values()), ids=list(REFUTING_MUTANTS)
+)
+def test_mutated_kernel_reaches_refuted_branches(monkeypatch, mutant_baseline, attr, mutate, expected):
+    monkeypatch.setattr(claims, attr, mutate(getattr(claims, attr)))
+    refuted = {r.id: r.record() for r in run_all_claims(MUTANT_BUDGETS) if not r.verified}
+    anew = {
+        claim_id: {
+            "id": claim_id,
+            "location": mutant_baseline[claim_id]["location"],
+            "status": "refuted",
+            "witness": witness,
+            "payload": payload,
+        }
+        for claim_id, (witness, payload) in expected.items()
+    }
+    unchanged = {i: rec for i, rec in mutant_baseline.items() if rec["status"] == "refuted"}
+    assert refuted == {**unchanged, **anew}

@@ -28,6 +28,7 @@ REQUESTS = {
     "beatty": ["beatty", "2000"],
     "table": ["table", "--rows", "40"],
     "claims": ["claims", "--sweep-n", "3000", "--scan-n", "500", "--ball-cases", "200"],
+    "claims-default": ["claims"],
 }
 
 STDOUT_SHA256 = {
@@ -61,6 +62,9 @@ STDOUT_SHA256 = {
     ("claims", "text"): "7e49aef9b6ce235a24dd9bb07a8e0740e97860138f8891d9aa22518778e8f827",
     ("claims", "csv"): "96d69fcdec9cbe8a6fc43a643adb5ceee7a0d6379740e1b70254fa995750a163",
     ("claims", "json"): "7fc3ab0485f38c28277261965bebac9f9326409fd5f44c9fda6a623a3f8a9f7f",
+    ("claims-default", "text"): "ee4388e627005219df00039c322c98fc2e4faee34d022f788a3ba3beb4f8bc6a",
+    ("claims-default", "csv"): "a4dfe18e85e08af4a2e590f54ac4fab5d8b63f97436dd58dbbff654e5afe1778",
+    ("claims-default", "json"): "f141894281d739e9a8adb7f0a5a258d7670dad9608269aae243bcd5e67948723",
 }
 
 USAGE_ERRORS = [

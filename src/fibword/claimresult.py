@@ -32,6 +32,9 @@ class ClaimResult(Frozen):
         payload = {} if payload is None else payload
         self.__dict__.update(id=id, location=location, status=status, witness=witness, payload=payload)
 
+    def __hash__(self) -> int:  # the dict payload is unhashable; equal results agree on these four fields
+        return hash((self.id, self.location, self.status, self.witness))
+
     @property
     def verified(self) -> bool:
         return self.status == VERIFIED

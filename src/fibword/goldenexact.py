@@ -2,7 +2,8 @@
 
 Everything here is integer exact.  A `Surd` is the integer triple
 (p + q*sqrt(5))/d in lowest terms, so its arithmetic is integer products and
-one gcd per result; `fib` and `lucas` double over the pair (F(k), L(k)).
+one gcd per result; `fib` and `lucas` double over the pair (F(k), L(k)) and
+keep the last pair built, so a neighbouring index costs one linear step.
 Floating point never appears; decimal strings are produced by digit
 extraction from exact values.
 """
@@ -270,26 +271,66 @@ def _fib_lucas(n: int) -> tuple[int, int]:
     return fk, lk
 
 
+# (j, F(j), L(j)), the pair the last fib or lucas call built; see `fib`.
+_memo = (0, 0, 2)
+
+
+def _pair(n: int) -> tuple[int, int]:
+    """(F(n), L(n)): a linear step from the memo if |n - j| <= 1, else doubling; pair(n) becomes the memo."""
+    global _memo
+    j, fj, lj = _memo
+    if n == j:
+        return fj, lj
+    if n == j + 1:
+        fn, ln = (fj + lj) >> 1, (5 * fj + lj) >> 1
+    elif n == j - 1:
+        fn, ln = (lj - fj) >> 1, (5 * fj - lj) >> 1
+    else:
+        fn, ln = _fib_lucas(n)
+    _memo = n, fn, ln
+    return fn, ln
+
+
 def fib(n: int) -> int:
-    """Classical Fibonacci numbers, F(0) = 0, F(1) = 1."""
+    """Classical Fibonacci numbers, F(0) = 0, F(1) = 1.
+
+    `fib` and `lucas` share a memo of one pair (j, F(j), L(j)), the last pair
+    either built, and answer n by the first rule that applies:
+      - |n - j| <= 1: one linear step, F(j+1) = (L + F)/2, L(j+1) = (5F + L)/2,
+        F(j-1) = (L - F)/2, L(j-1) = (5F - L)/2; the memo becomes pair(n);
+      - n >> 1 == j: one product, F(2j) = F(j) L(j) or
+        F(2j+1) = F(j+1) L(j) - (-1)^j; the memo is kept;
+      - otherwise: doubling over the bits of n builds pair(n), which becomes
+        the memo.
+    A lone cold call pays for the whole pair, one squaring more than F(n)
+    alone needs.  The memo is one tuple, read whole and replaced by one
+    assignment, so threads share it without a lock: a pair another thread
+    left costs time, never a wrong answer.
+    """
     if n < 0:
         raise ValueError("fib index must be >= 0")
-    k = n >> 1
-    fk, lk = _fib_lucas(k)
-    if n & 1:  # F(2k+1) = F(k+1) L(k) - (-1)^k, one product
-        return ((fk + lk) >> 1) * lk + (1 if k & 1 else -1)
-    return fk * lk
+    j, fj, lj = _memo
+    if n >> 1 == j and n > j + 1:  # n <= j + 1 is the first rule's
+        if n & 1:
+            return ((fj + lj) >> 1) * lj + (1 if j & 1 else -1)
+        return fj * lj
+    return _pair(n)[0]
 
 
 def lucas(n: int) -> int:
-    """Lucas numbers, L(0) = 2, L(1) = 1 (so L(2) = 3)."""
+    """Lucas numbers, L(0) = 2, L(1) = 1 (so L(2) = 3).
+
+    The rules and memo are `fib`'s; the one product is L(2j) = L(j)^2 - 2(-1)^j
+    or L(2j+1) = L(j) L(j+1) - (-1)^j.
+    """
     if n < 0:
         raise ValueError("lucas index must be >= 0")
-    k = n >> 1
-    fk, lk = _fib_lucas(k)
-    if n & 1:  # L(2k+1) = L(k) L(k+1) - (-1)^k, one product
-        return lk * ((5 * fk + lk) >> 1) + (1 if k & 1 else -1)
-    return lk * lk + (2 if k & 1 else -2)
+    j, fj, lj = _memo
+    if n >> 1 == j and n > j + 1:  # n <= j + 1 is the first rule's
+        if n & 1:
+            return lj * ((5 * fj + lj) >> 1) + (1 if j & 1 else -1)
+        return lj * lj + (2 if j & 1 else -2)
+    return _pair(n)[1]
 
 
 # -- Zeckendorf representation -------------------------------------------------

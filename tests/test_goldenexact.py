@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -463,14 +465,26 @@ def test_binet_exact():
         assert phi_n + bar_n == Surd.from_rational(lucas(n))
 
 
-def test_fib_lucas_match_iteration_to_5000():
-    # n = 0, 1, 2 and both parities of the last doubling step
-    f, luc = [0, 1], [2, 1]
-    for n in range(2, 5001):
-        f.append(f[-1] + f[-2])
-        luc.append(luc[-1] + luc[-2])
-    assert [fib(n) for n in range(5001)] == f
-    assert [lucas(n) for n in range(5001)] == luc
+# F(0..6001) and L(0..6001) by the plain recurrence: the reference for fib and lucas
+_TABLE_F, _TABLE_L = [0, 1], [2, 1]
+while len(_TABLE_F) < 6002:
+    _TABLE_F.append(_TABLE_F[-1] + _TABLE_F[-2])
+    _TABLE_L.append(_TABLE_L[-1] + _TABLE_L[-2])
+
+
+def test_fib_lucas_match_iteration_to_5000(monkeypatch):
+    f, luc = _TABLE_F, _TABLE_L
+    # ascending, each call is one linear step from the pair the call before built
+    assert [fib(n) for n in range(5001)] == f[:5001]
+    assert [lucas(n) for n in range(5001)] == luc[:5001]
+    # each call from the pair of n + 2, so doubling builds pair(n) at every n and parity
+    doubled = []
+    real = goldenexact._fib_lucas
+    monkeypatch.setattr(goldenexact, "_fib_lucas", lambda n: doubled.append(n) or real(n))
+    for n in range(5001):
+        assert lucas(n + 2) == luc[n + 2] and fib(n) == f[n]
+        assert fib(n + 2) == f[n + 2] and lucas(n) == luc[n]
+    assert sorted(set(doubled)) == list(range(5003))
 
 
 def test_fib_lucas_identities_at_log_spaced_n():
@@ -482,6 +496,64 @@ def test_fib_lucas_identities_at_log_spaced_n():
         assert fib(2 * n) == fn * ln
         assert before * after - fn * fn == (-1) ** n  # Cassini
         assert ln == before + after
+
+
+def test_fib_lucas_kernel_op_doubles_once(monkeypatch):
+    n = 10**5
+    cold = {k: goldenexact._fib_lucas(k) for k in (n - 1, n, n + 1, 2 * n, 2 * n + 1)}
+    doubled = []
+    real = goldenexact._fib_lucas
+    monkeypatch.setattr(goldenexact, "_memo", (0, 0, 2))
+    monkeypatch.setattr(goldenexact, "_fib_lucas", lambda k: doubled.append(k) or real(k))
+    got = (fib(n - 1), fib(n), fib(n + 1), lucas(n), fib(2 * n), lucas(2 * n + 1), fib(2 * n + 1))
+    want = (cold[n - 1][0], cold[n][0], cold[n + 1][0], cold[n][1], cold[2 * n][0])
+    assert got == (*want, cold[2 * n + 1][1], cold[2 * n + 1][0])
+    # pair(n - 1) by doubling; then linear steps, and products from pair(n), which stays the memo
+    assert doubled == [n - 1] and goldenexact._memo == (n, *cold[n])
+
+
+_MOVES = ("up", "down", "same", "double", "double+1", "jump")
+
+
+@given(st.lists(st.tuples(st.sampled_from(_MOVES), st.integers(0, 3000), st.booleans()), max_size=60))
+def test_fib_lucas_any_call_sequence_matches_recurrence(steps):
+    n = min(goldenexact._memo[0], 6001)
+    for move, far, want_lucas in steps:
+        if move in ("double", "double+1") and n <= 3000:
+            n = 2 * n + (move == "double+1")
+        elif move == "up":
+            n = min(n + 1, 6001)
+        elif move == "down":
+            n = max(n - 1, 0)
+        elif move != "same":
+            n = far
+        assert (lucas(n) == _TABLE_L[n]) if want_lucas else (fib(n) == _TABLE_F[n])
+
+
+def test_fib_lucas_exact_under_interleaving_threads():
+    # Each thread walks its own stretch by neighbours and doublings, so the threads keep
+    # replacing each other's memo; every answer must still be the recurrence's.
+    bad, done = [], []
+
+    def walk(start):
+        for n in range(start, start + 600):
+            for m in (n, n + 1, n - 1, n, 2 * n, 2 * n + 1):
+                if fib(m) != _TABLE_F[m] or lucas(m) != _TABLE_L[m]:
+                    bad.append(m)
+        done.append(start)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(start,)) for start in (1, 700, 1500, 2300)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == [1, 700, 1500, 2300] and bad == []
 
 
 def test_fib_lucas_reject_negative_indices():

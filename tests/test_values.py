@@ -63,11 +63,9 @@ IDS = [type(value).__name__ for value, _, _ in VALUES]
 NOT_PRINTABLE = "alphabet symbols must be single printable characters"
 
 
-def _hash_or_error(x):
-    try:
-        return hash(x)
-    except TypeError as exc:  # a ClaimResult's dict payload is unhashable, as in its field tuple
-        return str(exc)
+def _field_hash(value, fields):
+    """The hash of the field tuple; a ClaimResult hashes the fields before its unhashable dict payload."""
+    return hash(fields[:4] if isinstance(value, ClaimResult) else fields)
 
 
 @pytest.mark.parametrize(("value", "fields", "text"), VALUES, ids=IDS)
@@ -75,7 +73,7 @@ def test_repr_equality_and_hash(value, fields, text):
     assert repr(value) == text
     assert value == copy.copy(value) and not value != copy.copy(value)
     assert value != fields and not value == fields and fields != value
-    assert _hash_or_error(value) == _hash_or_error(fields)
+    assert hash(value) == _field_hash(value, fields)
     for other, _, _ in VALUES:
         if other is not value:
             assert value != other and not value == other
@@ -100,9 +98,17 @@ def test_pickle_and_copy(value, fields, text):
     clones = [pickle.loads(pickle.dumps(value, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
     for clone in clones + [copy.copy(value), copy.deepcopy(value)]:
         assert type(clone) is type(value) and clone == value and repr(clone) == text
-        assert _hash_or_error(clone) == _hash_or_error(value)
+        assert hash(clone) == hash(value)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(clone, "other", 1)
+
+
+def test_claim_results_key_sets_and_dicts():
+    result = ClaimResult("x", "l", "verified", "w", {"k": 1})
+    same = ClaimResult("x", "l", "verified", "w", {"k": 1})
+    other_payload = ClaimResult("x", "l", "verified", "w", {"k": 2})
+    assert {result: 1}[same] == 1 and len({result, same, other_payload}) == 2
+    assert hash(other_payload) == hash(result)
 
 
 def test_keyword_construction_and_defaults():

@@ -52,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: list[str], rows: list[list]) -> str:
     import csv
     import io
 
@@ -63,9 +63,11 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
-def _json_text(document: dict) -> str:
+def _json_text(command: str, fields: dict) -> str:
+    """The JSON document of `command`: its fields, with the schema version and the command name."""
     import json
 
+    document = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
     return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
@@ -101,15 +103,7 @@ def _cmd_gen(args: argparse.Namespace) -> str:
         return word + "\n"
     if args.format == "csv":  # a kind name, an integer and a run of letters: no field needs quoting
         return f"kind,index,word\n{args.kind},{args.index},{word}\n"
-    return _json_text(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "gen",
-            "kind": args.kind,
-            "index": args.index,
-            "word": word,
-        }
-    )
+    return _json_text("gen", {"kind": args.kind, "index": args.index, "word": word})
 
 
 def _cmd_density(args: argparse.Namespace) -> str:
@@ -120,49 +114,21 @@ def _cmd_density(args: argparse.Namespace) -> str:
     from .mechanical import density_report
 
     report = density_report(args.n)
-    decimals = report.decimals(args.places)
+    counts = {"n": report.n, "count0": report.count0, "count1": report.count1}
+    decimals = report.decimals(args.places)  # density0, density1, target1, deviation1
+    exact = {name: str(getattr(report, name)) for name in decimals}
     sign = report.deviation1.sign()
     if args.format == "text":
-        lines = [
-            f"n: {report.n}",
-            f"count0: {report.count0}",
-            f"count1: {report.count1}",
-            f"density0: {decimals['density0']} (= {report.density0})",
-            f"density1: {decimals['density1']} (= {report.density1})",
-            f"target1: {decimals['target1']} (= {report.target1})",
-            f"deviation1: {decimals['deviation1']} (sign {sign:+d}, = {report.deviation1})",
-        ]
-        return "\n".join(lines) + "\n"
-    row = {
-        "n": str(report.n),
-        "count0": str(report.count0),
-        "count1": str(report.count1),
-        "density0": decimals["density0"],
-        "density1": decimals["density1"],
-        "target1": decimals["target1"],
-        "deviation1": decimals["deviation1"],
-        "deviation1_sign": str(sign),
-    }
+        notes = {name: f"= {text}" for name, text in exact.items()}
+        notes["deviation1"] = f"sign {sign:+d}, " + notes["deviation1"]
+        lines = [f"{name}: {value}\n" for name, value in counts.items()]
+        lines += [f"{name}: {text} ({notes[name]})\n" for name, text in decimals.items()]
+        return "".join(lines)
     if args.format == "csv":
+        row = {**counts, **decimals, "deviation1_sign": sign}
         return _csv_text(list(row), [list(row.values())])
-    return _json_text(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "density",
-            "n": report.n,
-            "count0": report.count0,
-            "count1": report.count1,
-            "density0": row["density0"],
-            "density0_exact": str(report.density0),
-            "density1": row["density1"],
-            "density1_exact": str(report.density1),
-            "target1": row["target1"],
-            "target1_exact": str(report.target1),
-            "deviation1": row["deviation1"],
-            "deviation1_exact": str(report.deviation1),
-            "deviation1_sign": sign,
-        }
-    )
+    exact_fields = {f"{name}_exact": text for name, text in exact.items()}
+    return _json_text("density", {**counts, **decimals, **exact_fields, "deviation1_sign": sign})
 
 
 def _cmd_table(args: argparse.Namespace) -> str:
@@ -182,13 +148,7 @@ def _cmd_table(args: argparse.Namespace) -> str:
         lines = ["  ".join(header)]
         lines += ["  ".join(cells) for cells in rows]
         return "\n".join(lines) + "\n"
-    return _json_text(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "table",
-            "rows": [dict(zip(header, cells)) for cells in rows],
-        }
-    )
+    return _json_text("table", {"rows": [dict(zip(header, cells)) for cells in rows]})
 
 
 def _cmd_beatty(args: argparse.Namespace) -> str:
@@ -238,13 +198,7 @@ def _cmd_claims(args: argparse.Namespace) -> str:
             for r in records
         ]
         return _csv_text(header, rows)
-    return _json_text(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "claims",
-            "claims": records,
-        }
-    )
+    return _json_text("claims", {"claims": records})
 
 
 def build_parser() -> _Parser:

@@ -143,6 +143,4 @@ def pow_fib(k: int) -> AlgebraElement:
     fk = fib_word_ab(k).text
     fprev = fib_word_ab(k - 1).text
     fnext = fib_word_ab(k + 1).text
-    first = Word(AB, "a" + fk + fprev + fprev)
-    second = Word(AB, "ab" + fk + fnext + fnext)
-    return element_from_texts(AB, [first.text, second.text])
+    return element_from_texts(AB, ["a" + fk + fprev + fprev, "ab" + fk + fnext + fnext])

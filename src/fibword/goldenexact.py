@@ -230,16 +230,14 @@ INV_PHI_SQUARED = Surd(Fraction(3, 2), Fraction(-1, 2))
 
 
 def beatty_phi(n: int) -> int:
-    """floor(n * phi), computed exactly as (n + isqrt(5 n^2)) div 2."""
+    """floor(n * phi) = floor((n + n*sqrt(5))/2), exactly."""
     if n < 1:
         raise ValueError("Beatty index must be >= 1")
-    return (n + isqrt(5 * n * n)) // 2
+    return _floor(n, n, 2)
 
 
 def beatty_phi2(n: int) -> int:
     """floor(n * phi^2) = n + floor(n * phi), from phi^2 = phi + 1."""
-    if n < 1:
-        raise ValueError("Beatty index must be >= 1")
     return n + beatty_phi(n)
 
 
@@ -295,41 +293,28 @@ def fib(n: int) -> int:
     """Classical Fibonacci numbers, F(0) = 0, F(1) = 1.
 
     `fib` and `lucas` share a memo of one pair (j, F(j), L(j)), the last pair
-    either built, and answer n by the first rule that applies:
+    either built.  Two rules read it:
       - |n - j| <= 1: one linear step, F(j+1) = (L + F)/2, L(j+1) = (5F + L)/2,
         F(j-1) = (L - F)/2, L(j-1) = (5F - L)/2; the memo becomes pair(n);
-      - n >> 1 == j: one product, F(2j) = F(j) L(j) or
-        F(2j+1) = F(j+1) L(j) - (-1)^j; the memo is kept;
-      - otherwise: doubling over the bits of n builds pair(n), which becomes
-        the memo.
-    A lone cold call pays for the whole pair, one squaring more than F(n)
-    alone needs.  The memo is one tuple, read whole and replaced by one
+      - `fib` only, n = 2j: one product, F(2j) = F(j) L(j); the memo is kept.
+    Any other n is built by doubling over its bits, and pair(n) becomes the
+    memo.  A lone cold call pays for the whole pair, one squaring more than
+    F(n) alone needs.  The memo is one tuple, read whole and replaced by one
     assignment, so threads share it without a lock: a pair another thread
     left costs time, never a wrong answer.
     """
     if n < 0:
         raise ValueError("fib index must be >= 0")
     j, fj, lj = _memo
-    if n >> 1 == j and n > j + 1:  # n <= j + 1 is the first rule's
-        if n & 1:
-            return ((fj + lj) >> 1) * lj + (1 if j & 1 else -1)
+    if n == 2 * j and j > 1:  # j <= 1 leaves n within the first rule's reach
         return fj * lj
     return _pair(n)[0]
 
 
 def lucas(n: int) -> int:
-    """Lucas numbers, L(0) = 2, L(1) = 1 (so L(2) = 3).
-
-    The rules and memo are `fib`'s; the one product is L(2j) = L(j)^2 - 2(-1)^j
-    or L(2j+1) = L(j) L(j+1) - (-1)^j.
-    """
+    """Lucas numbers, L(0) = 2, L(1) = 1 (so L(2) = 3), from `fib`'s memo and linear steps."""
     if n < 0:
         raise ValueError("lucas index must be >= 0")
-    j, fj, lj = _memo
-    if n >> 1 == j and n > j + 1:  # n <= j + 1 is the first rule's
-        if n & 1:
-            return lj * ((5 * fj + lj) >> 1) + (1 if j & 1 else -1)
-        return lj * lj + (2 if j & 1 else -2)
     return _pair(n)[1]
 
 

@@ -18,7 +18,6 @@ from .goldenexact import (
     beatty_floors,
     beatty_phi,
     fraction_decimal,
-    isqrt,
     surd_decimal,
 )
 from .words import BINARY, Word
@@ -44,15 +43,13 @@ def mechanical_prefix(n: int) -> Word:
 
 
 def count_ones_upto(n: int) -> int:
-    """Ones in the length-n prefix: floor((n+1)/phi^2), via integer isqrt.
+    """Ones in the length-n prefix: floor(N/phi^2) with N = n + 1.
 
-    (n+1)/phi^2 = (n+1)(3 - sqrt5)/2, and sqrt(5(n+1)^2) is irrational,
-    so floor(3N - sqrt(5 N^2)) = 3N - isqrt(5 N^2) - 1 with N = n + 1.
+    1/phi^2 = 2 - phi and N*phi is irrational, so floor(N/phi^2) = 2N - floor(N*phi) - 1.
     """
     if n < 1:
         raise ValueError("prefix length must be >= 1")
-    big_n = n + 1
-    return (3 * big_n - isqrt(5 * big_n * big_n) - 1) // 2
+    return 2 * n + 1 - beatty_phi(n + 1)
 
 
 _LETTER_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -134,8 +131,7 @@ def max_discrepancy(limit: int) -> tuple[Surd, int]:
     n, after = 1, 4  # F(2j+1) - 1 for j = 1, 2; F(k+2) = 3F(k) - F(k-2)
     while after <= limit:
         n, after = after, 3 * after - n + 1
-    p = 2 * count_ones_upto(n) - 3 * n  # twice the deviation at n is p + n*sqrt5
-    return abs(Surd(Fraction(p, 2), Fraction(n, 2))), n
+    return abs(density_report(n).deviation1), n
 
 
 def beatty_hits(limit: int) -> bytearray:

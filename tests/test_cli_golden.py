@@ -25,6 +25,7 @@ REQUESTS = {
     "gen-fibab": ["gen", "fibab", "14"],
     "density-13": ["density", "13"],
     "density-30-digit": ["density", str(10**29 + 7), "--places", "200"],
+    "density-1-places-0": ["density", "1", "--places", "0"],  # deviation1 has sign -1 and renders as 0
     "beatty": ["beatty", "2000"],
     "table": ["table", "--rows", "40"],
     "claims": ["claims", "--sweep-n", "3000", "--scan-n", "500", "--ball-cases", "200"],
@@ -53,6 +54,9 @@ STDOUT_SHA256 = {
     ("density-30-digit", "text"): "e6158d2802f9c3155b42ce255eaa9a1d721516963765c955c22f89ec3d4ab385",
     ("density-30-digit", "csv"): "719f7eca62e5d1d02dcd27f0cc1e610a443fa9b54d64c15d25cf355c8184ec3f",
     ("density-30-digit", "json"): "d2130fc217624718d3564cef7db54835d4da10240b8083caaa8dd24f58bc102e",
+    ("density-1-places-0", "text"): "82a2866a2915823f4743dced4537e6854037fe5493ebccfc04c18399e7b79bae",
+    ("density-1-places-0", "csv"): "1f08a3f4d61464fa3ef430fd5576f32187ae5ad974edff4bec666ab5531747ce",
+    ("density-1-places-0", "json"): "d219a1d79441dae36fedc6d7b6757fc39aac3d69a6d25c6cb0f1c15161e7202b",
     ("beatty", "text"): "81fcd24b30f0e72b296c601438b294732a26b3b71274c84e5bc56b231c1ea67a",
     ("beatty", "csv"): "55647bcf86d69171f3bba9721f3b56cef968ff1389422d0e5ed3b5155e56b1a8",
     ("beatty", "json"): "dc8e94d5cb81b96d4e01571b53a0d7a903a2fbc6f1a7546c6e6fe113072a4d66",

@@ -408,10 +408,14 @@ def test_beatty_examples():
     assert [beatty_phi2(n) for n in (1, 2, 3)] == [2, 5, 7]
     assert beatty_phi2(10) == 26
     assert beatty_phi2(30) == 78
-    with pytest.raises(ValueError):
-        beatty_phi(0)
-    with pytest.raises(ValueError):
-        beatty_phi2(0)
+    for beatty in (beatty_phi, beatty_phi2):
+        with pytest.raises(ValueError, match="^Beatty index must be >= 1$"):
+            beatty(0)
+
+
+@given(st.integers(min_value=1, max_value=10**60))
+def test_beatty_phi_matches_isqrt_spelling(n):
+    assert beatty_phi(n) == (n + isqrt(5 * n * n)) // 2
 
 
 def test_beatty_difference_identity():
@@ -505,11 +509,13 @@ def test_fib_lucas_kernel_op_doubles_once(monkeypatch):
     real = goldenexact._fib_lucas
     monkeypatch.setattr(goldenexact, "_memo", (0, 0, 2))
     monkeypatch.setattr(goldenexact, "_fib_lucas", lambda k: doubled.append(k) or real(k))
-    got = (fib(n - 1), fib(n), fib(n + 1), lucas(n), fib(2 * n), lucas(2 * n + 1), fib(2 * n + 1))
-    want = (cold[n - 1][0], cold[n][0], cold[n + 1][0], cold[n][1], cold[2 * n][0])
-    assert got == (*want, cold[2 * n + 1][1], cold[2 * n + 1][0])
-    # pair(n - 1) by doubling; then linear steps, and products from pair(n), which stays the memo
+    got = (fib(n - 1), fib(n), fib(n + 1), lucas(n), fib(2 * n))
+    assert got == (cold[n - 1][0], cold[n][0], cold[n + 1][0], cold[n][1], cold[2 * n][0])
+    # pair(n - 1) by doubling; then linear steps, and F(2n) as a product from pair(n), which stays the memo
     assert doubled == [n - 1] and goldenexact._memo == (n, *cold[n])
+    # 2n + 1 has no product rule: lucas builds pair(2n + 1) by doubling, and fib reads it from the memo
+    assert (lucas(2 * n + 1), fib(2 * n + 1)) == cold[2 * n + 1][::-1]
+    assert doubled == [n - 1, 2 * n + 1] and goldenexact._memo == (2 * n + 1, *cold[2 * n + 1])
 
 
 _MOVES = ("up", "down", "same", "double", "double+1", "jump")

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,23 @@ def test_count_ones_examples():
     assert count_ones_upto(2) == 1
     with pytest.raises(ValueError):
         count_ones_upto(0)
+
+
+def _count_ones_isqrt_spelling(n):
+    """floor((n+1)/phi^2) = (3N - isqrt(5 N^2) - 1) div 2 with N = n + 1, from (n+1)/phi^2 = (n+1)(3 - sqrt5)/2."""
+    big_n = n + 1
+    return (3 * big_n - isqrt(5 * big_n * big_n) - 1) // 2
+
+
+def test_count_ones_matches_isqrt_spelling_up_to_a_million():
+    assert list(map(count_ones_upto, range(1, 10**6 + 1))) == list(
+        map(_count_ones_isqrt_spelling, range(1, 10**6 + 1))
+    )
+
+
+@given(st.integers(min_value=1, max_value=10**60))
+def test_count_ones_matches_isqrt_spelling(n):
+    assert count_ones_upto(n) == _count_ones_isqrt_spelling(n)
 
 
 def test_count_ones_matches_scan():
@@ -169,8 +187,6 @@ def test_max_discrepancy_at_the_sweep_cap():
 
 def test_max_discrepancy_against_interval_oracle():
     # independent: bracket sqrt5 rationally and compare |count1(n) - n/phi^2|
-    from fibword.goldenexact import isqrt
-
     sqrt5_lo = Fraction(isqrt(5 * 10**60), 10**30)
     sqrt5_hi = sqrt5_lo + Fraction(1, 10**30)
     text = mechanical_prefix(500).text

@@ -9,8 +9,9 @@ class Frozen:
     read of the instance about threefold.  Equality (same
     class only), hashing and repr are field-wise, and assignment or deletion
     raises `dataclasses.FrozenInstanceError`, as for a frozen dataclass.
-    The generic hash reads the dict, which costs about 1.6x a hash of named
-    fields, so the classes hashed on hot paths spell the same value out.
+    Two subclasses override the hash because their value is not the field
+    tuple's: a rational `Surd` equals, so hashes as, its int or Fraction, and
+    a `ClaimResult`'s payload is an unhashable dict, so its hash leaves it out.
     """
 
     def __eq__(self, other):

@@ -1,7 +1,9 @@
 """Adjudication records.
 
-`fibword.claims` builds every one: its `_claim(id, location)` decorator turns
-a check's `(status, witness, payload)` into the `ClaimResult` below.
+`fibword.claims` builds them: its `_claim(id, location)` decorator turns a
+check's `(status, witness, payload)` into the `ClaimResult` below.  The one
+record built outside `_claim` is the alpha-identity summary, which takes its
+id and location from the result of the decorated `alpha_identity_check`.
 """
 
 from __future__ import annotations
@@ -40,11 +42,5 @@ class ClaimResult(Frozen):
         return self.status == VERIFIED
 
     def record(self) -> dict[str, Any]:
-        """Plain-dict form with the fixed field names id/location/status/witness/payload."""
-        return {
-            "id": self.id,
-            "location": self.location,
-            "status": self.status,
-            "witness": self.witness,
-            "payload": dict(self.payload),
-        }
+        """Plain-dict form: the fields id/location/status/witness/payload, in that order."""
+        return {**self.__dict__, "payload": dict(self.payload)}

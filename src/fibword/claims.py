@@ -20,6 +20,7 @@ from .derived import (
     FAMILY_FIBAB,
     FAMILY_Q,
     FAMILY_Y,
+    DensityRow,
     density_table,
     df_density,
     fib_word_ab,
@@ -333,8 +334,6 @@ def verify_beatty_partition(limit: int) -> Verdict:
 @_claim("morphic-mechanical-agreement", "the morphic fixed point equals the mechanical (Beatty) word")
 def morphic_mechanical_agree(n: int) -> Verdict:
     """Fixed point of 0->01, 1->0 versus the Beatty labelling, symbol by symbol."""
-    if n < 1:
-        raise ValueError("prefix length must be >= 1")
     morphic = fixed_point_prefix(fibonacci_morphism(), "0", n).text
     mechanical = mechanical_prefix(n).text
     if morphic == mechanical:
@@ -464,9 +463,7 @@ def _claim_framed_density_limit(framed_m_max: int) -> Verdict:
     exact_rows = {row.m: row.rendered(6) for row in density_table(13)}
     for m, *published in PUBLISHED_DENSITY_TABLE:
         computed = exact_rows[m]
-        for column, pub_cell, exact_cell in zip(
-            ("dens_a_q", "dens_b_q", "dens_a_y", "dens_b_y"), published, computed
-        ):
+        for column, pub_cell, exact_cell in zip(DensityRow.COLUMNS, published, computed):
             if pub_cell == exact_cell:
                 matches.append((m, column))
             else:

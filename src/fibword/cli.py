@@ -136,9 +136,9 @@ def _cmd_table(args: argparse.Namespace) -> str:
         raise ValueError("table needs at least one row")
     if args.rows > TABLE_MAX_ROWS:
         raise ValueError(f"table prints at most {TABLE_MAX_ROWS} rows")
-    from .derived import density_table
+    from .derived import DensityRow, density_table
 
-    header = ["m", "dens_a_q", "dens_b_q", "dens_a_y", "dens_b_y"]
+    header = ["m", *DensityRow.COLUMNS]
     rows = []
     for row in density_table(3 + args.rows - 1):
         rows.append([str(row.m), *row.rendered(6)])
@@ -183,21 +183,12 @@ def _cmd_claims(args: argparse.Namespace) -> str:
                 f"  witness: {r['witness']}"
             )
         return "\n\n".join(blocks) + "\n"
-    if args.format == "csv":
+    if args.format == "csv":  # one column per record field, the payload as compact JSON
         import json
 
-        header = ["id", "location", "status", "witness", "payload"]
-        rows = [
-            [
-                r["id"],
-                r["location"],
-                r["status"],
-                r["witness"],
-                json.dumps(r["payload"], sort_keys=True, separators=(",", ":")),
-            ]
-            for r in records
-        ]
-        return _csv_text(header, rows)
+        for r in records:
+            r["payload"] = json.dumps(r["payload"], sort_keys=True, separators=(",", ":"))
+        return _csv_text(list(records[0]), [list(r.values()) for r in records])
     return _json_text("claims", {"claims": records})
 
 

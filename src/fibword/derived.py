@@ -27,7 +27,6 @@ from .words import AB, Word
 FAMILY_Y = "y"
 FAMILY_Q = "q"
 FAMILY_FIBAB = "fibab"
-FAMILIES = (FAMILY_Y, FAMILY_Q, FAMILY_FIBAB)
 
 
 def y_words() -> Iterator[str]:
@@ -92,6 +91,8 @@ def df_density(k: int) -> Fraction:
 class DensityRow(Frozen):
     """One row of the density table, exact rationals per family."""
 
+    COLUMNS = ("dens_a_q", "dens_b_q", "dens_a_y", "dens_b_y")  # the density fields, in table order
+
     def __init__(
         self, m: int, dens_a_q: Fraction, dens_b_q: Fraction, dens_a_y: Fraction, dens_b_y: Fraction
     ) -> None:
@@ -99,13 +100,9 @@ class DensityRow(Frozen):
             m=m, dens_a_q=dens_a_q, dens_b_q=dens_b_q, dens_a_y=dens_a_y, dens_b_y=dens_b_y
         )
 
-    def rendered(self, places: int = 6) -> tuple[str, str, str, str]:
-        return (
-            fraction_decimal(self.dens_a_q, places),
-            fraction_decimal(self.dens_b_q, places),
-            fraction_decimal(self.dens_a_y, places),
-            fraction_decimal(self.dens_b_y, places),
-        )
+    def rendered(self, places: int = 6) -> tuple[str, ...]:
+        """The COLUMNS as decimals, by exact digit extraction."""
+        return tuple(fraction_decimal(getattr(self, column), places) for column in self.COLUMNS)
 
 
 def density_table(m_max: int) -> list[DensityRow]:

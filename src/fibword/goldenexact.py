@@ -106,7 +106,7 @@ class Surd(Frozen):
     def __eq__(self, o):
         return self.__dict__ == o.__dict__
 
-    def __hash__(self) -> int:  # the field-tuple hash, spelled out: Surds are the kernel's numbers
+    def __hash__(self) -> int:
         if self.q == 0:  # equal values hash equal: a rational hashes as its int or Fraction
             return hash(Fraction(self.p, self.d))
         return hash((self.p, self.q, self.d))

@@ -34,10 +34,9 @@ def _beatty_sweep(stop: int) -> Iterator[tuple[int, int]]:
 
 def mechanical_prefix(n: int) -> Word:
     """Length-n prefix of the Fibonacci word: 1s at floor(m*phi^2) = m + floor(m*phi), 0s elsewhere."""
-    if n < 1:
-        raise ValueError("prefix length must be >= 1")
+    ones = count_ones_upto(n)  # rejects n < 1 before the letters are allocated
     letters = bytearray(b"0") * n
-    for m, low in _beatty_sweep(count_ones_upto(n) + 1):
+    for m, low in _beatty_sweep(ones + 1):
         letters[m + low - 1] = 49  # "1"
     return Word(BINARY, letters.decode())
 
@@ -94,8 +93,6 @@ class DensityReport(Frozen):
 
 
 def density_report(n: int) -> DensityReport:
-    if n < 1:
-        raise ValueError("prefix length must be >= 1")
     ones = count_ones_upto(n)
     zeros = n - ones
     return DensityReport(

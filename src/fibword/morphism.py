@@ -64,12 +64,12 @@ def mortal_letters(h: Morphism) -> frozenset[str]:
     """
     if h.source != h.target:
         raise ValueError("mortality needs an endomorphism (equal alphabets)")
-    mortal = {s for s in h.source.symbols if h.image(s).is_empty}
+    mortal: set[str] = set()  # the first pass adds the letters with empty image
     changed = True
     while changed:
         changed = False
-        for s in h.source.symbols:
-            if s not in mortal and all(c in mortal for c in h.image(s).text):
+        for s, text in h._images.items():
+            if s not in mortal and all(c in mortal for c in text):
                 mortal.add(s)
                 changed = True
     return frozenset(mortal)

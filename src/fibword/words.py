@@ -29,9 +29,6 @@ class Alphabet(Frozen):
             if len(s) != 1 or not s.isprintable():
                 raise ValueError(f"alphabet symbols must be single printable characters, got {s!r}")
 
-    def __hash__(self) -> int:  # the field-tuple hash, spelled out: Words hash their alphabet
-        return hash((self.symbols,))
-
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -61,9 +58,6 @@ class Word(Frozen):
             bad = set(text) - set(symbols)
             raise ValueError(f"letters {sorted(bad)!r} not in alphabet")
 
-    def __hash__(self) -> int:  # the field-tuple hash, spelled out: Words key sets and dicts
-        return hash((self.alphabet, self.text))
-
     def __len__(self) -> int:
         return len(self.text)
 
@@ -77,10 +71,6 @@ class Word(Frozen):
         if isinstance(key, slice):
             return Word(self.alphabet, self.text[key])
         return self.text[key]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.text
 
 
 def binary_word(text: str) -> Word:

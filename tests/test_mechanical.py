@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibword import mechanical
+from fibword import mechanical, morphism
 from fibword.goldenexact import (
     INV_PHI,
     INV_PHI_SQUARED,
@@ -16,6 +16,7 @@ from fibword.goldenexact import (
     beatty_phi2,
     fib,
     int_surd_sign,
+    zeckendorf_encode,
 )
 from fibword.claims import morphic_mechanical_agree, verify_beatty_partition
 from fibword.mechanical import (
@@ -299,3 +300,59 @@ def test_ones_counts_match_closed_form():
     closed = [count_ones_upto(n) for n in range(1, 10_001)]
     for limit in (1, 2, 3, 10, 10_000):
         assert list(ones_counts(limit)) == closed[:limit]
+
+
+def _unreachable(*args):
+    raise AssertionError("a word was built before the prefix length was checked")
+
+
+PREFIX_ROUTES = {
+    "mechanical_prefix": mechanical_prefix,
+    "density_report": density_report,
+    "count_ones_upto": count_ones_upto,
+    "ones_counts": ones_counts,
+    "morphic_mechanical_agree": morphic_mechanical_agree,
+    "fixed_point_prefix": lambda n: fixed_point_prefix(fibonacci_morphism(), "0", n),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1, -(10**30)])
+@pytest.mark.parametrize("route", PREFIX_ROUTES)
+def test_prefix_length_guard_raises_before_any_word(monkeypatch, route, n):
+    monkeypatch.setattr(mechanical, "_beatty_sweep", _unreachable)
+    monkeypatch.setattr(morphism, "apply", _unreachable)
+    with pytest.raises(ValueError) as excinfo:
+        PREFIX_ROUTES[route](n)
+    assert str(excinfo.value) == "prefix length must be >= 1"
+
+
+# F(0), F(1), ..., F(399) by the plain recurrence: no isqrt, doubling or memo shared with the code
+# under test.  F(300) > 10**60, so every Zeckendorf index below stays in range.
+FIB_TABLE = [0, 1]
+while len(FIB_TABLE) < 400:
+    FIB_TABLE.append(FIB_TABLE[-1] + FIB_TABLE[-2])
+
+
+def _zeckendorf_identities(n):
+    """The k_i >= 2 with n = sum F(k_i), after checking the Beatty and ones-count identities on them.
+
+    Bit i of zeckendorf_encode(n) stands for F(i + 2), so the indices come out in increasing order.
+    """
+    indices = [i + 2 for i, bit in enumerate(zeckendorf_encode(n).bits) if bit]
+    assert sum(FIB_TABLE[k] for k in indices) == n
+    assert beatty_phi(n + 1) - 1 == sum(FIB_TABLE[k + 1] for k in indices)
+    assert count_ones_upto(n) == n - sum(FIB_TABLE[k - 1] for k in indices)
+    return indices
+
+
+def test_zeckendorf_reference_up_to_1e5():
+    limit = 10**5
+    text = mechanical_prefix(limit + 1).text
+    for n in range(1, limit + 1):
+        # letter n + 1 is 1 exactly when the Zeckendorf sum of n uses F(2)
+        assert (text[n] == "1") == (_zeckendorf_identities(n)[0] == 2), n
+
+
+@given(st.integers(min_value=1, max_value=10**60))
+def test_zeckendorf_reference(n):
+    _zeckendorf_identities(n)

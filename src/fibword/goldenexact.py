@@ -2,17 +2,20 @@
 
 Everything here is integer exact.  A `Surd` is the integer triple
 (p + q*sqrt(5))/d in lowest terms, so its arithmetic is integer products and
-one gcd per result; `fib` and `lucas` double over the pair (F(k), L(k)) and
-keep the last pair built, so a neighbouring index costs one linear step.
-Floating point never appears; decimal strings are produced by digit
-extraction from exact values.
+one gcd per result; every floor of such a value is one product with a cached
+fixed-point sqrt(5) and a shift; `fib` and `lucas` double over the pair
+(F(k), L(k)) and keep the last pair built, so a neighbouring index costs one
+linear step.  Floating point never appears; decimal strings are produced by
+digit extraction from exact values.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate, compress, repeat
 from typing import Sequence, Union
 
 from ._frozen import Frozen
@@ -20,7 +23,8 @@ from ._frozen import Frozen
 RationalLike = Union[int, Fraction]
 
 
-# Floor of the square root, exact for arbitrary size; ValueError below zero.
+# Floor of the square root, exact for arbitrary size; ValueError below zero.  The kernel's one
+# square root: it builds each entry of the fixed-point sqrt(5) table below, and nothing else.
 isqrt = math.isqrt
 
 
@@ -61,13 +65,33 @@ def _product(p: int, q: int, d: int, r: int, s: int, t: int) -> tuple[int, int, 
     return p // g, q // g, d // g
 
 
+# K -> floor(sqrt(5) * 2^K) for K a power of two: one entry per precision level, built by `isqrt`
+# on first use and never changed, so threads share the table without a lock (a race only builds
+# the same entry twice).
+_SQRT5_SCALED: dict[int, int] = {}
+
+
+def _sqrt5_scaled(q: int) -> tuple[int, int]:
+    """(K, floor(sqrt(5) * 2^K)) for K the least power of two >= 2 bits(q) + 3, so 2^K > 8 q^2.
+
+    Then floor(q*sqrt(5)) = (q * floor(sqrt(5) * 2^K)) >> K exactly, for q of
+    either sign: the product over 2^K lies less than |q|/2^K from q*sqrt(5),
+    on the side of zero, and the integer on that side is {|q|*sqrt(5)} away.  With f = floor(|q|*sqrt(5)) the norm 5q^2 - f^2 is a
+    positive integer, so {|q|*sqrt(5)} = (5q^2 - f^2)/(|q|*sqrt(5) + f)
+    > 1/(5|q|) > |q|/2^K (Hurwitz 1891; Khinchin, *Continued Fractions*).
+    """
+    k = 2 << (q.bit_length() + 1).bit_length()
+    root = _SQRT5_SCALED.get(k)
+    if root is None:
+        root = _SQRT5_SCALED[k] = isqrt(5 << 2 * k)
+    return k, root
+
+
 def _floor(p: int, q: int, d: int) -> int:
-    """floor((p + q*sqrt(5))/d) for integers with d > 0, via integer isqrt."""
-    if q > 0:
-        p += isqrt(5 * q * q)
-    elif q < 0:
-        # sqrt(5 q^2) is irrational for q != 0, so floor(-x) = -floor(x) - 1
-        p -= isqrt(5 * q * q) + 1
+    """floor((p + q*sqrt(5))/d) for integers with d > 0, from the fixed-point sqrt(5) table."""
+    if q:
+        k, root = _sqrt5_scaled(q)
+        p += q * root >> k  # floor(q*sqrt(5)); >> rounds toward minus infinity for q < 0 too
     # floor(x / d) = floor(floor(x) / d) for a positive integer d
     return p // d
 
@@ -97,10 +121,13 @@ class Surd(Frozen):
     def __init__(self, a: RationalLike, b: RationalLike) -> None:
         if isinstance(a, float) or isinstance(b, float):
             raise TypeError("surd components must be exact (int or Fraction)")
-        a, b = Fraction(a), Fraction(b)
-        den = a.denominator * b.denominator
-        reduced = _surd(a.numerator * b.denominator, b.numerator * a.denominator, den)
-        self.__dict__.update(reduced.__dict__)
+        if not isinstance(a, (int, Fraction)):
+            a = Fraction(a)
+        if not isinstance(b, (int, Fraction)):
+            b = Fraction(b)
+        p, q, d = a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
+        g = math.gcd(d, p, q)  # d > 0
+        self.__dict__.update(p=p // g, q=q // g, d=d // g)
 
     @_surd_operand
     def __eq__(self, o):
@@ -212,7 +239,7 @@ class Surd(Frozen):
         return self.q == 0
 
     def floor(self) -> int:
-        """Exact floor, via integer isqrt."""
+        """Exact floor: one product with the fixed-point sqrt(5) and a shift."""
         return _floor(self.p, self.q, self.d)
 
     def __str__(self) -> str:
@@ -244,11 +271,19 @@ def beatty_phi2(n: int) -> int:
 def beatty_floors(start: int, stop: int) -> list[int]:
     """[floor(m * phi) for start <= m < stop], exactly as beatty_phi computes each one.
 
-    Every Beatty sweep reads this one list; floor(m * phi^2) is m more.
+    Every Beatty sweep reads this one list; floor(m * phi^2) is m more.  With
+    P = floor(phi * 2^K) = (2^K + floor(sqrt(5) * 2^K)) >> 1 and 2^K > 5 m^2,
+    floor(m * phi) = (m * P) >> K: the truncation is below m/2^K, and
+    {m * phi} > 1/(sqrt(5) m) because the norm p^2 - pm - m^2 of p = floor(m * phi)
+    is a nonzero integer.  So the sweep is one addition of P and one shift per m.
     """
     if start < 1:
         raise ValueError("Beatty index must be >= 1")
-    return [(m + isqrt(5 * m * m)) >> 1 for m in range(start, stop)]
+    if stop <= start:
+        return []
+    k, root = _sqrt5_scaled(stop)
+    step = ((1 << k) + root) >> 1
+    return [x >> k for x in accumulate(repeat(step, stop - start - 1), initial=start * step)]
 
 
 # -- Fibonacci and Lucas numbers ----------------------------------------------
@@ -343,26 +378,45 @@ class ZeckendorfRep(Frozen):
             raise ValueError("trailing zero bits are not canonical")
 
 
+# F(2), F(3), ...: the Zeckendorf weights, one tuple shared by every call.  A call that needs a
+# longer one replaces it by one assignment and never mutates it, as `_memo` is shared.  It grows
+# to at most _WEIGHTS_KEPT weights (F(1025) has 214 digits), so it holds at most 83 KB.
+_weights = (1, 2)
+_WEIGHTS_KEPT = 1024
+
+
+def _weights_above(m: int) -> Sequence[int]:
+    """F(2), F(3), ... up to a weight above m: the shared tuple, grown first if it falls short.
+
+    Weights past the first _WEIGHTS_KEPT are the caller's alone, in a list
+    that the call drops when it returns.
+    """
+    global _weights
+    weights = _weights
+    if weights[-1] > m:
+        return weights
+    grown = list(weights)
+    a, b = weights[-2:]
+    while b <= m:
+        a, b = b, a + b
+        grown.append(b)
+    if len(weights) < _WEIGHTS_KEPT:
+        _weights = tuple(grown[:_WEIGHTS_KEPT])
+    return grown
+
+
 def zeckendorf_encode(m: int) -> ZeckendorfRep:
-    """Greedy sum of non-adjacent Fibonacci numbers F(2), F(3), ..."""
+    """Greedy sum of non-adjacent Fibonacci numbers F(2), F(3), ...: a bisection per 1 bit."""
     if m < 0:
         raise ValueError("can only encode non-negative integers")
-    fibs = []
-    a, b = 1, 2  # F(2), F(3)
-    while a <= m:
-        fibs.append(a)
-        a, b = b, a + b
-    bits = [0] * len(fibs)
-    remaining = m
-    i = len(fibs) - 1
-    while i >= 0:
-        if fibs[i] <= remaining:
-            bits[i] = 1
-            remaining -= fibs[i]
-            i -= 2  # what remains is below F(i+1), the next number down, so its bit is 0
-        else:
-            i -= 1
-    assert remaining == 0
+    weights = _weights_above(m)
+    i = bisect_right(weights, m)  # the weights <= m, one bit each
+    bits = bytearray(i)
+    while m:
+        # the largest weight <= what remains; what remains after it is below the next weight down
+        i = bisect_right(weights, m, 0, i) - 1
+        bits[i] = 1
+        m -= weights[i]
     return ZeckendorfRep(bits)
 
 
@@ -370,12 +424,15 @@ def zeckendorf_decode(rep: ZeckendorfRep | Sequence[int]) -> int:
     """Exact inverse of the encoding; validates the adjacency invariant."""
     if not isinstance(rep, ZeckendorfRep):
         rep = ZeckendorfRep(tuple(rep))
-    total = 0
-    a, b = 1, 2  # F(2), F(3)
-    for bit in rep.bits:
-        if bit:  # adds the int F(i+1), never bit * F(i+1): 1.0 and Fraction(1) are bits too
-            total += a
-        a, b = b, a + b
+    bits, weights = rep.bits, _weights
+    # compress adds the int F(i+2), never bit * F(i+2): 1.0 and Fraction(1) are bits too
+    total = sum(compress(weights, bits))
+    if len(bits) > len(weights):  # past the shared tuple, continue the recurrence without growing it
+        a, b = weights[-2:]
+        for bit in bits[len(weights):]:
+            a, b = b, a + b
+            if bit:
+                total += b
     return total
 
 
@@ -413,7 +470,7 @@ def surd_decimal(s: Surd, places: int = 6) -> str:
 
     Ties can only arise for rational values (sqrt 5 is irrational), where the
     rational renderer handles them.  Otherwise, with |x| = (p + q*sqrt(5))/d,
-    round(|x| 10^k) = floor((2 10^k (p + q*sqrt(5)) + d) / 2d): one isqrt.
+    round(|x| 10^k) = floor((2 10^k (p + q*sqrt(5)) + d) / 2d): one `_floor`.
     """
     if s.is_rational:
         return fraction_decimal(s.a, places)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import sub
 
 from ._frozen import Frozen
 from .goldenexact import (
@@ -26,18 +27,27 @@ from .words import BINARY, Word
 _CHUNK = 1 << 14  # floors per beatty_floors call, so a sweep's working list stays this long
 
 
-def _beatty_sweep(stop: int) -> Iterator[tuple[int, int]]:
-    """(m, floor(m*phi)) for 1 <= m < stop, from beatty_floors one chunk at a time."""
+def _beatty_chunks(stop: int) -> Iterator[list[int]]:
+    """The floors floor(m*phi) for 1 <= m < stop, from beatty_floors one chunk of m at a time."""
     for start in range(1, stop, _CHUNK):
-        yield from enumerate(beatty_floors(start, min(start + _CHUNK, stop)), start)
+        yield beatty_floors(start, min(start + _CHUNK, stop))
 
 
 def mechanical_prefix(n: int) -> Word:
-    """Length-n prefix of the Fibonacci word: 1s at floor(m*phi^2) = m + floor(m*phi), 0s elsewhere."""
-    ones = count_ones_upto(n)  # rejects n < 1 before the letters are allocated
-    letters = bytearray(b"0") * n
-    for m, low in _beatty_sweep(ones + 1):
-        letters[m + low - 1] = 49  # "1"
+    """Length-n prefix of the Fibonacci word: 1s at floor(m*phi^2) = m + floor(m*phi), 0s elsewhere.
+
+    The 1s for m and m + 1 sit 1 + d_m apart, with the floor step
+    d_m = floor((m+1)*phi) - floor(m*phi) in {1, 2}, and the first sits at
+    1 + d_0 = 2.  So the word is the steps d_0, d_1, ... with 1 -> 01 and
+    2 -> 001, two bytes replacements per chunk, cut to n letters.
+    """
+    ones = count_ones_upto(n)  # rejects n < 1 before any letter is made
+    letters, low = bytearray(), 0  # low = floor(0*phi)
+    for floors in _beatty_chunks(ones + 2):  # d_0 .. d_ones: up to the first 1 past n
+        steps = bytes(map(sub, floors, chain((low,), floors)))
+        letters += steps.replace(b"\x02", b"001").replace(b"\x01", b"01")
+        low = floors[-1]
+    del letters[n:]
     return Word(BINARY, letters.decode())
 
 
@@ -140,7 +150,7 @@ def beatty_hits(limit: int) -> bytearray:
         raise ValueError("sweep bound must be >= 1")
     hits = bytearray(limit + 1)
     # floor(m*phi) <= limit iff m < (limit + 1)/phi, i.e. m <= floor((limit + 1)*phi) - (limit + 1)
-    for m, zero_at in _beatty_sweep(beatty_phi(limit + 1) - limit):
+    for m, zero_at in enumerate(chain.from_iterable(_beatty_chunks(beatty_phi(limit + 1) - limit)), 1):
         hits[zero_at] += 1
         if zero_at + m <= limit:
             hits[zero_at + m] += 1

@@ -48,11 +48,16 @@ def fibonacci_morphism() -> Morphism:
     return Morphism(BINARY, BINARY, {"0": "01", "1": "0"})
 
 
+def _image_text(h: Morphism, text: str) -> str:
+    """h applied to a text over its source alphabet, as text: the images of its letters, in order."""
+    return "".join(map(h._images.__getitem__, text))
+
+
 def apply(h: Morphism, w: Word) -> Word:
     """Concatenation of the images of w's letters, in order."""
     if w.alphabet != h.source:
         raise ValueError("word is not over the morphism's source alphabet")
-    return Word(h.target, "".join(map(h._images.__getitem__, w.text)))
+    return Word(h.target, _image_text(h, w.text))
 
 
 def mortal_letters(h: Morphism) -> frozenset[str]:
@@ -81,7 +86,7 @@ def is_prolongable(h: Morphism, a: str) -> bool:
         raise ValueError("prolongability needs an endomorphism (equal alphabets)")
     if a not in h.source:
         raise ValueError(f"symbol {a!r} not in alphabet")
-    image = h.image(a).text
+    image = h._images[a]
     if not image.startswith(a) or len(image) < 2:
         return False
     remainder = image[1:]
@@ -93,19 +98,21 @@ def fixed_point_prefix(h: Morphism, a: str, n: int) -> Word:
     """The length-n prefix of the infinite fixed point h^omega(a).
 
     With h(a) = a x, h^{k+1}(a) = h^k(a) h^k(x): each step appends the image
-    of the previous extension, so the morphism is applied to whole words and
-    every letter of the prefix is made once.  h^k(x) is never empty, because
-    x holds a letter that is not mortal, so the loop ends.
+    of the previous extension, so the morphism is applied to whole texts and
+    every letter of the prefix is made once.  Every step is a text over the
+    alphabet, so only the returned prefix is built as a (validated) Word.
+    h^k(x) is never empty, because x holds a letter that is not mortal, so
+    the loop ends.
     """
     if not is_prolongable(h, a):
         raise ValueError(f"morphism is not prolongable on {a!r}")
     if n < 1:
         raise ValueError("prefix length must be >= 1")
     parts, length = [a], 1
-    extension = h.image(a)[1:]
+    extension = h._images[a][1:]
     while True:
-        parts.append(extension.text)
+        parts.append(extension)
         length += len(extension)
         if length >= n:
             return Word(h.source, "".join(parts)[:n])
-        extension = apply(h, extension)
+        extension = _image_text(h, extension)

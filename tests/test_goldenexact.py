@@ -778,3 +778,183 @@ def test_rendering_and_powers_build_no_temporary_surds(monkeypatch):
     assert calls == []  # an irrational value is rendered from its integer triple alone
     power = PHI**500
     assert len(calls) == 1 and (power.p, power.q, power.d) == (phi_500.p, phi_500.q, phi_500.d)
+
+
+# -- the fixed-point sqrt(5) table and the shared Zeckendorf weights -------------------------
+
+
+def _floor_isqrt_spelling(p, q, d):
+    """floor((p + q*sqrt5)/d) by math.isqrt on 5 q^2, the spelling the table replaced."""
+    root = math.isqrt(5 * q * q)
+    return (p + root) // d if q >= 0 else (p - root - 1) // d
+
+
+def _pell_denominators(most_bits):
+    """q with p + q*sqrt5 = (2 + sqrt5)^k, so p^2 - 5 q^2 = -+1: the q whose q*sqrt5 lies nearest an integer."""
+    p, q = 2, 1
+    while q.bit_length() <= most_bits:
+        yield q
+        p, q = 2 * p + 5 * q, p + 2 * q
+
+
+def _level(q):
+    return goldenexact._sqrt5_scaled(q)[0]
+
+
+def test_fixed_point_floor_on_both_sides_of_every_level():
+    # The bit lengths where the level K steps up, from K = 8 to the step past K = 2^15; at each,
+    # the q on both sides and their neighbours, against math.isqrt.
+    edges = [bits for bits in range(1, 16_383) if _level((1 << bits) - 1) != _level(1 << bits)]
+    assert [_level(1 << bits) for bits in edges] == [2**j for j in range(4, 17)]
+    rng = random.Random(22)
+    checked = set()
+    for bits in [1, 2, *edges]:
+        for q in {(1 << bits) - 2, (1 << bits) - 1, 1 << bits, (1 << bits) + 1, rng.getrandbits(bits) | 1}:
+            if q < 1:
+                continue
+            k, root = goldenexact._sqrt5_scaled(q)
+            assert (1 << k) >= 5 * q * q and root == math.isqrt(5 << 2 * k)
+            for p, d in ((0, 1), (rng.getrandbits(bits + 2), rng.randrange(1, 1 << 40)), (-3, 7)):
+                assert goldenexact._floor(p, q, d) == _floor_isqrt_spelling(p, q, d)
+                assert goldenexact._floor(p, -q, d) == _floor_isqrt_spelling(p, -q, d)
+            checked.add(k)
+    assert checked == {2**j for j in range(3, 17)}
+
+
+def test_fixed_point_floor_where_q_sqrt5_is_nearest_an_integer():
+    # 5 q^2 - f^2 = 1 or -1 is where the truncation comes closest to crossing: every such q up to
+    # 1,024 bits, and past that the last one below and the first one above each level's edge.
+    pell = list(_pell_denominators(16_384))
+    chosen = {q for q in pell if q.bit_length() <= 1024}
+    chosen.update(q for q, after in zip(pell, pell[1:]) if _level(q) != _level(after))
+    chosen.update(after for q, after in zip(pell, pell[1:]) if _level(q) != _level(after))
+    assert {_level(q) for q in chosen} == {2**j for j in range(3, 17)}
+    for q in chosen:
+        for near in (q - 1, q, q + 1):
+            if near >= 1:
+                root = math.isqrt(5 * near * near)
+                assert goldenexact._floor(0, near, 1) == root
+                assert goldenexact._floor(0, -near, 1) == -root - 1
+                assert goldenexact._floor(1, near, 2) == (1 + root) // 2
+
+
+_SIX_HUNDRED_DIGITS = st.integers(min_value=-(10**600), max_value=10**600)
+
+
+@given(_SIX_HUNDRED_DIGITS.filter(bool), st.integers(min_value=-2, max_value=2), st.integers(1, 10**600))
+def test_sign_and_floor_near_cancelling_up_to_1e600(b, offset, den):
+    # a within 2 of -b*sqrt5, so a + b*sqrt5 is as close to zero as integers of this size allow
+    root = math.isqrt(5 * b * b)
+    a = (-root if b > 0 else root) + offset
+    s = Surd(Fraction(a, den), Fraction(b, den))
+    assert s.floor() == _floor_isqrt_spelling(s.p, s.q, s.d)
+    # a and b have opposite signs, so a - b*sqrt5 has the sign of a, and (a + b*sqrt5)(a - b*sqrt5)
+    # is the norm a^2 - 5 b^2
+    norm = a * a - 5 * b * b
+    assert s.sign() == ((norm > 0) - (norm < 0)) * (1 if a > 0 else -1)
+
+
+def test_floors_and_renderings_build_each_level_once(monkeypatch):
+    builds = []
+    monkeypatch.setattr(goldenexact, "_SQRT5_SCALED", {})
+    monkeypatch.setattr(goldenexact, "isqrt", lambda x: builds.append(x) or math.isqrt(x))
+    rng = random.Random(2201)
+    for _ in range(10**4):
+        s = Surd(Fraction(rng.randrange(10**59, 10**60), 7), Fraction(-rng.randrange(10**59, 10**60), 11))
+        s.floor()
+        surd_decimal(s, 20)
+    from fibword.mechanical import mechanical_prefix
+
+    mechanical_prefix(10**6)
+    table = goldenexact._SQRT5_SCALED
+    # every build is one level's entry, and no level was built twice
+    assert sorted(builds) == sorted(5 << 2 * k for k in table)
+    assert len(builds) <= 4
+
+
+def _zeckendorf_reference(m):
+    """Greedy Zeckendorf bits from weights made here by the plain recurrence."""
+    weights, a, b = [], 1, 2
+    while a <= m:
+        weights.append(a)
+        a, b = b, a + b
+    bits = []
+    for w in reversed(weights):
+        bits.append(int(w <= m))
+        m -= w * bits[-1]
+    return tuple(reversed(bits))
+
+
+# F(1025) is the last weight the shared tuple keeps, F(1026) the first it leaves to the caller
+_ZECKENDORF_VALUES = [0, 1, 2, 3, 4, 7, 100, 10**59 + 7, 10**214, 10**300 + 1]
+_ZECKENDORF_VALUES += [_TABLE_F[1025] - 1, _TABLE_F[1025], _TABLE_F[1026], _TABLE_F[1026] + 1]
+
+
+def test_zeckendorf_same_with_cold_and_warm_weights(monkeypatch):
+    cold = []
+    for m in _ZECKENDORF_VALUES:
+        monkeypatch.setattr(goldenexact, "_weights", (1, 2))
+        cold.append(zeckendorf_encode(m).bits)
+    assert cold == [_zeckendorf_reference(m) for m in _ZECKENDORF_VALUES]
+    big = 10**999 + 12345
+    assert zeckendorf_decode(zeckendorf_encode(big)) == big  # a 1,000-digit call leaves the tuple warm
+    assert len(goldenexact._weights) == goldenexact._WEIGHTS_KEPT
+    assert [zeckendorf_encode(m).bits for m in _ZECKENDORF_VALUES] == cold
+    for m, bits in zip(_ZECKENDORF_VALUES, cold):
+        assert zeckendorf_decode(bits) == m
+        assert zeckendorf_decode(tuple(map(bool, bits))) == m
+        assert zeckendorf_decode(tuple(map(float, bits))) == m
+
+
+def test_zeckendorf_decode_past_the_shared_weights(monkeypatch):
+    big = 10**9999 + 1
+    rep = zeckendorf_encode(big)  # 47,838 weights, only the first _WEIGHTS_KEPT of them kept
+    assert len(goldenexact._weights) == goldenexact._WEIGHTS_KEPT < len(rep.bits)
+    assert zeckendorf_decode(rep) == big
+    monkeypatch.setattr(goldenexact, "_weights", (1, 2))
+    assert zeckendorf_decode(rep) == big and goldenexact._weights == (1, 2)  # decoding never grows it
+
+
+@given(st.integers(min_value=0, max_value=10**1200))
+def test_zeckendorf_matches_reference(m):
+    rep = zeckendorf_encode(m)
+    assert rep.bits == _zeckendorf_reference(m)
+    assert zeckendorf_decode(rep) == m
+
+
+def test_kernel_tables_exact_under_interleaving_threads(monkeypatch):
+    # Eight threads, each at its own operand size, start from empty tables and keep growing and
+    # reading them together; every answer must match its reference.
+    monkeypatch.setattr(goldenexact, "_SQRT5_SCALED", {})
+    monkeypatch.setattr(goldenexact, "_weights", (1, 2))
+    bad, done = [], []
+
+    def work(digits):
+        rng = random.Random(digits)
+        for _ in range(40):
+            q = rng.randrange(10 ** (digits - 1), 10**digits)
+            p, d = rng.randrange(-(10**digits), 10**digits), rng.randrange(1, 10**digits)
+            if goldenexact._floor(p, q, d) != _floor_isqrt_spelling(p, q, d):
+                bad.append(("floor", digits, q))
+            start = rng.randrange(1, 10**digits)
+            floors = goldenexact.beatty_floors(start, start + 50)
+            if floors != [(m + math.isqrt(5 * m * m)) >> 1 for m in range(start, start + 50)]:
+                bad.append(("beatty", digits, start))
+            rep = zeckendorf_encode(q)
+            if rep.bits != _zeckendorf_reference(q) or zeckendorf_decode(rep) != q:
+                bad.append(("zeckendorf", digits, q))
+        done.append(digits)
+
+    sizes = [1, 5, 20, 60, 150, 300, 600, 1000]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(digits,)) for digits in sizes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(done) == sizes and bad == []

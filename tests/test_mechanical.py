@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import isqrt
 
 import pytest
@@ -274,13 +275,40 @@ def test_prefix_ones_positions_are_beatty():
 
 
 def test_beatty_floors_match_random_access_floors():
-    floors = beatty_floors(1, 10_001)
-    assert len(floors) == 10_000
-    assert all(low == beatty_phi(m) and low + m == beatty_phi2(m) for m, low in enumerate(floors, 1))
-    assert beatty_floors(9_990, 10_001) == floors[9_989:]
-    assert beatty_floors(5, 5) == []
+    limit = 10**6
+    floors = beatty_floors(1, limit + 1)
+    assert floors == list(map(beatty_phi, range(1, limit + 1)))
+    assert floors == [(m + isqrt(5 * m * m)) >> 1 for m in range(1, limit + 1)]
+    assert list(chain.from_iterable(mechanical._beatty_chunks(limit + 1))) == floors
+    assert all(low + m == beatty_phi2(m) for m, low in enumerate(floors[:10_000], 1))
+    assert beatty_floors(9_990, 10_001) == floors[9_989:10_000]
+    assert beatty_floors(5, 5) == beatty_floors(5, 2) == []
     with pytest.raises(ValueError):
         beatty_floors(0, 3)
+
+
+@given(st.integers(min_value=1, max_value=10**60), st.integers(min_value=0, max_value=300))
+def test_beatty_floors_match_isqrt_spelling_at_large_offsets(start, length):
+    floors = beatty_floors(start, start + length)
+    assert floors == [(m + isqrt(5 * m * m)) >> 1 for m in range(start, start + length)]
+    assert floors[:3] == [beatty_phi(m) for m in range(start, min(start + length, start + 3))]
+
+
+def _placed_prefix(n):
+    """The length-n prefix with a "1" placed at each m + floor(m*phi) <= n, the floor by isqrt."""
+    letters = bytearray(b"0") * n
+    for m in range(1, count_ones_upto(n) + 1):
+        letters[m + ((m + isqrt(5 * m * m)) >> 1) - 1] = 49
+    return letters.decode()
+
+
+def test_prefix_matches_placed_ones(monkeypatch):
+    placed = _placed_prefix(3000)
+    assert all(mechanical_prefix(n).text == placed[:n] for n in range(1, 3000))
+    for n in (10**5, 10**6, 10**7):
+        assert mechanical_prefix(n).text == _placed_prefix(n)
+    monkeypatch.setattr(mechanical, "_CHUNK", 7)  # a chunk edge every 7 floors
+    assert all(mechanical_prefix(n).text == placed[:n] for n in range(1, 3000))
 
 
 def test_prefix_matches_morphic_route_at_chunk_edges(monkeypatch):
@@ -319,8 +347,9 @@ PREFIX_ROUTES = {
 @pytest.mark.parametrize("n", [0, -1, -(10**30)])
 @pytest.mark.parametrize("route", PREFIX_ROUTES)
 def test_prefix_length_guard_raises_before_any_word(monkeypatch, route, n):
-    monkeypatch.setattr(mechanical, "_beatty_sweep", _unreachable)
-    monkeypatch.setattr(morphism, "apply", _unreachable)
+    # the steps each route's loop takes: a chunk of floors, the image of a text
+    monkeypatch.setattr(mechanical, "beatty_floors", _unreachable)
+    monkeypatch.setattr(morphism, "_image_text", _unreachable)
     with pytest.raises(ValueError) as excinfo:
         PREFIX_ROUTES[route](n)
     assert str(excinfo.value) == "prefix length must be >= 1"

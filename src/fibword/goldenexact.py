@@ -88,10 +88,19 @@ def _sqrt5_scaled(q: int) -> tuple[int, int]:
 
 
 def _floor(p: int, q: int, d: int) -> int:
-    """floor((p + q*sqrt(5))/d) for integers with d > 0, from the fixed-point sqrt(5) table."""
+    """floor((p + q*sqrt(5))/d) for integers with d > 0, from the fixed-point sqrt(5) table.
+
+    The product takes only the top j = 2 bits(q) + 3 bits of the level K >= j
+    that `_sqrt5_scaled` picks: R_K >> (K - j) = floor(sqrt(5) * 2^j), because
+    floor(floor(x)/2^i) = floor(x/2^i), and 2^j > 8 q^2, so its bound holds at j.
+    """
     if q:
-        k, root = _sqrt5_scaled(q)
-        p += q * root >> k  # floor(q*sqrt(5)); >> rounds toward minus infinity for q < 0 too
+        j = 2 * q.bit_length() + 3
+        k = 1 << j.bit_length()  # the least power of two above j, read without a call once built
+        root = _SQRT5_SCALED.get(k)
+        if root is None:
+            k, root = _sqrt5_scaled(q)
+        p += q * (root >> (k - j)) >> j  # floor(q*sqrt(5)); >> rounds toward minus infinity for q < 0 too
     # floor(x / d) = floor(floor(x) / d) for a positive integer d
     return p // d
 
@@ -196,15 +205,17 @@ class Surd(Frozen):
         if not isinstance(exponent, int):
             return NotImplemented
         base = self.inverse() if exponent < 0 else self
-        # square-and-multiply on integer triples, so one Surd is built, at the end
-        p, q, d, e = 1, 0, 1, abs(exponent)
+        # left to right over the bits of |exponent| on integer triples, so one Surd is built, at the
+        # end: a squaring is (p^2 + 5q^2, 2pq, d^2), and only a 1 bit multiplies by the base, which
+        # is usually small
         bp, bq, bd = base.p, base.q, base.d
-        while e:
-            if e & 1:
+        p, q, d = (bp, bq, bd) if exponent else (1, 0, 1)
+        for bit in bin(abs(exponent))[3:]:  # the bits after the leading 1
+            p, q, d = p * p + 5 * q * q, 2 * p * q, d * d
+            g = math.gcd(d, p, q)
+            p, q, d = p // g, q // g, d // g
+            if bit == "1":
                 p, q, d = _product(p, q, d, bp, bq, bd)
-            e >>= 1
-            if e:
-                bp, bq, bd = _product(bp, bq, bd, bp, bq, bd)
         return _surd(p, q, d)
 
     # -- order --------------------------------------------------------------
@@ -417,7 +428,10 @@ def zeckendorf_encode(m: int) -> ZeckendorfRep:
         i = bisect_right(weights, m, 0, i) - 1
         bits[i] = 1
         m -= weights[i]
-    return ZeckendorfRep(bits)
+    # the bits are 0/1, non-adjacent and end in 1 by construction: store them without the checks
+    rep = object.__new__(ZeckendorfRep)
+    rep.__dict__.update(bits=tuple(bits))
+    return rep
 
 
 def zeckendorf_decode(rep: ZeckendorfRep | Sequence[int]) -> int:
@@ -437,13 +451,34 @@ def zeckendorf_decode(rep: ZeckendorfRep | Sequence[int]) -> int:
 
 
 # -- decimal rendering (exact digit extraction) ----------------------------------
+#
+# Every renderer, `DensityReport.decimals` too, rounds a value times a scale 10^k to an integer
+# by one of two integer cores, and prints it with `_fixed_point`.
 
 
-def _fixed_point(sign: str, q: int, places: int) -> str:
-    """Render q * 10^-places with `places` digits after the point, prefixed by sign."""
-    if q == 0:
-        sign = ""
-    digits = str(q).rjust(places + 1, "0")
+def _round_half_even(num: int, den: int) -> int:
+    """num/den rounded to the nearest integer, a tie to the even one, for den > 0: one divmod."""
+    q, r = divmod(num, den)
+    r += r
+    if r > den or (r == den and q & 1):
+        q += 1
+    return q
+
+
+def _round_surd(p: int, q: int, d: int, scale: int) -> int:
+    """(p + q*sqrt(5))/d * scale rounded to the nearest integer, for q != 0, d > 0 and scale > 0.
+
+    The value is irrational, so never a tie, and rounding is floor(x + 1/2) on
+    either side of zero: one `_floor` of (2 scale p + d + 2 scale q sqrt(5)) / 2d.
+    """
+    scale += scale
+    return _floor(scale * p + d, scale * q, 2 * d)
+
+
+def _fixed_point(value: int, places: int) -> str:
+    """Render value * 10^-places with `places` digits after the point; zero takes no sign."""
+    sign = "-" if value < 0 else ""
+    digits = str(abs(value)).rjust(places + 1, "0")
     if places == 0:
         return sign + digits
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
@@ -455,29 +490,21 @@ def fraction_decimal(x: RationalLike, places: int = 6) -> str:
         raise ValueError("places must be >= 0")
     if isinstance(x, float):
         raise TypeError("fraction_decimal needs an exact rational (int or Fraction)")
-    x = Fraction(x)
-    sign = "-" if x.numerator < 0 else ""
-    den = x.denominator
-    scaled = abs(x.numerator) * 10**places
-    q, r = divmod(scaled, den)
-    if 2 * r > den or (2 * r == den and q % 2 == 1):
-        q += 1
-    return _fixed_point(sign, q, places)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    # round-half-even is odd-symmetric, so the signed quotient rounds as its magnitude does
+    return _fixed_point(_round_half_even(x.numerator * 10**places, x.denominator), places)
 
 
 def surd_decimal(s: Surd, places: int = 6) -> str:
     """Fixed-point decimal string for a surd, round-half-even.
 
-    Ties can only arise for rational values (sqrt 5 is irrational), where the
-    rational renderer handles them.  Otherwise, with |x| = (p + q*sqrt(5))/d,
-    round(|x| 10^k) = floor((2 10^k (p + q*sqrt(5)) + d) / 2d): one `_floor`.
+    Ties can only arise for rational values (sqrt 5 is irrational), which round
+    as `fraction_decimal` does; an irrational one is one `_floor`.
     """
-    if s.is_rational:
-        return fraction_decimal(s.a, places)
     if places < 0:
         raise ValueError("places must be >= 0")
-    p, q, sign = s.p, s.q, ""
-    if int_surd_sign(p, q) < 0:
-        p, q, sign = -p, -q, "-"
-    scale = 2 * 10**places
-    return _fixed_point(sign, _floor(scale * p + s.d, scale * q, 2 * s.d), places)
+    scale = 10**places
+    if s.q == 0:
+        return _fixed_point(_round_half_even(s.p * scale, s.d), places)
+    return _fixed_point(_round_surd(s.p, s.q, s.d, scale), places)

@@ -15,11 +15,12 @@ from operator import sub
 from ._frozen import Frozen
 from .goldenexact import (
     Surd,
+    _fixed_point,
+    _round_half_even,
+    _round_surd,
     _surd,
     beatty_floors,
     beatty_phi,
-    fraction_decimal,
-    surd_decimal,
 )
 from .words import BINARY, Word
 
@@ -93,12 +94,29 @@ class DensityReport(Frozen):
         )
 
     def decimals(self, places: int = 6) -> dict[str, str]:
-        """Decimal renderings by exact digit extraction (round-half-even)."""
+        """Decimal renderings, round-half-even, from one scale s = 10^places and integers alone.
+
+        Reads n, count0, count1 and target1; density0 = 1 - density1 and
+        deviation1 = count1 - target1, as `density_report` builds them.
+          - density1 is round(count1 s / n), one divmod;
+          - density0 is s - density1: where count1 s / n is a tie, so is
+            count0 s / n, and both round to the even side because s is even;
+            s = 1 is odd (n = 2 is a tie), so places = 0 divides again;
+          - target1 is irrational, never a tie, so round(deviation1 s) is
+            count1 s - round(target1 s), from one `_floor`.
+        """
+        if places < 0:
+            raise ValueError("places must be >= 0")
+        scale = 10**places
+        n, count1, target1 = self.n, self.count1, self.target1
+        density1 = _round_half_even(count1 * scale, n)
+        density0 = scale - density1 if places else _round_half_even(self.count0, n)
+        target = _round_surd(target1.p, target1.q, target1.d, scale)
         return {
-            "density0": fraction_decimal(self.density0, places),
-            "density1": fraction_decimal(self.density1, places),
-            "target1": surd_decimal(self.target1, places),
-            "deviation1": surd_decimal(self.deviation1, places),
+            "density0": _fixed_point(density0, places),
+            "density1": _fixed_point(density1, places),
+            "target1": _fixed_point(target, places),
+            "deviation1": _fixed_point(count1 * scale - target, places),
         }
 
 

@@ -333,6 +333,19 @@ def test_surd_power_matches_repeated_multiplication(base):
             assert got == base.a**e
 
 
+def test_phi_powers_match_lucas_and_fibonacci_recurrences():
+    # phi^e = (L(e) + F(e) sqrt5)/2 and phi^-e = (-1)^e (L(e) - F(e) sqrt5)/2, with F and L by plain
+    # iteration here, for every |e| < 3000
+    f, lu = [0, 1], [2, 1]
+    while len(f) < 3000:
+        f.append(f[-1] + f[-2])
+        lu.append(lu[-1] + lu[-2])
+    for e in range(3000):
+        for got, want in ((PHI**e, Surd(Fraction(lu[e], 2), Fraction(f[e], 2))),
+                          (PHI**-e, Surd(Fraction((-1) ** e * lu[e], 2), Fraction(-((-1) ** e) * f[e], 2)))):
+            assert (got.p, got.q, got.d) == (want.p, want.q, want.d), e
+
+
 def test_surd_one_spelling_per_value():
     halves = Surd(Fraction(2, 4), Fraction(3, 6))
     assert halves == PHI and hash(halves) == hash(PHI)
@@ -651,6 +664,25 @@ def test_zeckendorf_decode_of_any_accepted_bits_is_an_int(bits):
     assert value == zeckendorf_decode(tuple(int(bit) for bit in bits))
 
 
+def _assert_encoded_rep_is_valid(m):
+    # encode stores its bits without ZeckendorfRep's checks, so check them element-wise here
+    rep = zeckendorf_encode(m)
+    assert type(rep) is ZeckendorfRep and type(rep.bits) is tuple
+    assert all(type(bit) is int for bit in rep.bits)
+    assert _zeckendorf_verdict_reference(rep.bits) is None, m
+    assert ZeckendorfRep(rep.bits) == rep
+
+
+def test_zeckendorf_encode_builds_valid_reps_up_to_1e4():
+    for m in range(10_001):
+        _assert_encoded_rep_is_valid(m)
+
+
+@given(st.integers(min_value=0, max_value=10**1200))
+def test_zeckendorf_encode_builds_valid_reps(m):
+    _assert_encoded_rep_is_valid(m)
+
+
 def test_zeckendorf_decode_validation():
     with pytest.raises(ValueError):
         zeckendorf_decode((1, 1))
@@ -819,6 +851,17 @@ def test_fixed_point_floor_on_both_sides_of_every_level():
                 assert goldenexact._floor(p, -q, d) == _floor_isqrt_spelling(p, -q, d)
             checked.add(k)
     assert checked == {2**j for j in range(3, 17)}
+
+
+def test_fixed_point_floor_at_every_bit_length():
+    # The product takes the top 2 bits(q) + 3 bits of the level, a precision that steps with
+    # every bit length of q: the q on both ends of each length up to 4,096 bits, against math.isqrt.
+    rng = random.Random(23)
+    for bits in range(1, 4097):
+        for q in {1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)}:
+            for p, d in ((0, 1), (rng.getrandbits(bits + 2), rng.randrange(1, 1 << 40))):
+                assert goldenexact._floor(p, q, d) == _floor_isqrt_spelling(p, q, d)
+                assert goldenexact._floor(p, -q, d) == _floor_isqrt_spelling(p, -q, d)
 
 
 def test_fixed_point_floor_where_q_sqrt5_is_nearest_an_integer():

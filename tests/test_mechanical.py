@@ -121,6 +121,63 @@ def test_density_limits_render():
     assert surd_decimal(INV_PHI, 6) == "0.618034"
 
 
+def _ones_reference(n):
+    """floor((n+1)/phi^2) = 2N - 1 - floor(N*phi) with N = n + 1, by math.isqrt."""
+    big_n = n + 1
+    return 2 * big_n - 1 - (big_n + isqrt(5 * big_n * big_n)) // 2
+
+
+def _round_irrational_reference(a: Fraction, b: Fraction, places: int) -> int:
+    """round((a + b*sqrt5) * 10^places) for b != 0, by Fraction and math.isqrt; sqrt5 is irrational, so no tie."""
+    shifted, slope = a * 10**places + Fraction(1, 2), b * 10**places  # floor(shifted + slope*sqrt5)
+    den = shifted.denominator * slope.denominator
+    top, root = (shifted * den).numerator, (slope * den).numerator  # both denominators are 1
+    root_floor = isqrt(5 * root * root) if root > 0 else -isqrt(5 * root * root) - 1
+    return (top + root_floor) // den
+
+
+def _fixed_point_reference(value: int, places: int) -> str:
+    whole, fraction = divmod(abs(value), 10**places)
+    text = f"{whole}.{fraction:0{places}d}" if places else str(whole)
+    return "-" + text if value < 0 else text
+
+
+def _decimals_reference(n: int, places: int) -> dict[str, str]:
+    """density_report(n).decimals(places) from Fraction (round-half-even) and math.isqrt alone."""
+    ones, scale = _ones_reference(n), 10**places
+    rounded = {
+        "density0": round(Fraction((n - ones) * scale, n)),
+        "density1": round(Fraction(ones * scale, n)),
+        "target1": _round_irrational_reference(Fraction(3 * n, 2), Fraction(-n, 2), places),
+        "deviation1": _round_irrational_reference(Fraction(2 * ones - 3 * n, 2), Fraction(n, 2), places),
+    }
+    return {name: _fixed_point_reference(value, places) for name, value in rounded.items()}
+
+
+def test_decimals_match_reference_for_every_small_n():
+    # every n <= 3000 at places 0..12, which holds every tie count1 * 10^k / n = m + 1/2 of that range
+    ties = 0
+    for n in range(1, 3001):
+        report = density_report(n)
+        for places in range(13):
+            assert report.decimals(places) == _decimals_reference(n, places), (n, places)
+            ties += (2 * report.count1 * 10**places) % (2 * n) == n
+    assert ties > 0
+    # n = 2 at places 0 is the tie that 10^0 = 1, an odd scale, cannot take as 1 - density1
+    assert density_report(2).decimals(0) == {"density0": "0", "density1": "0", "target1": "1", "deviation1": "0"}
+
+
+@given(st.integers(min_value=1, max_value=10**2000 - 1), st.integers(min_value=0, max_value=2000))
+@settings(deadline=None)
+def test_decimals_match_reference_up_to_the_cli_caps(n, places):
+    assert density_report(n).decimals(places) == _decimals_reference(n, places)
+
+
+def test_decimals_reject_negative_places():
+    with pytest.raises(ValueError, match="places must be >= 0"):
+        density_report(13).decimals(-1)
+
+
 def test_max_discrepancy_examples():
     value, at = max_discrepancy(1)
     assert value == INV_PHI_SQUARED and at == 1

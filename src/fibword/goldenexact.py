@@ -2,11 +2,11 @@
 
 Everything here is integer exact.  A `Surd` is the integer triple
 (p + q*sqrt(5))/d in lowest terms, so its arithmetic is integer products and
-one gcd per result; every floor of such a value is one product with a cached
-fixed-point sqrt(5) and a shift; `fib` and `lucas` double over the pair
-(F(k), L(k)) and keep the last pair built, so a neighbouring index costs one
-linear step.  Floating point never appears; decimal strings are produced by
-digit extraction from exact values.
+one gcd per result; every floor and every sign of such a value is one
+product with the one fixed-point sqrt(5) and a shift; `fib` and `lucas` double
+over the pair (F(k), L(k)) and keep the last pair built, so a neighbouring
+index costs one linear step.  Floating point never appears; decimal strings
+are produced by digit extraction from exact values.
 """
 
 from __future__ import annotations
@@ -24,28 +24,8 @@ RationalLike = Union[int, Fraction]
 
 
 # Floor of the square root, exact for arbitrary size; ValueError below zero.  The kernel's one
-# square root: it builds each entry of the fixed-point sqrt(5) table below, and nothing else.
+# square root: it builds the fixed-point sqrt(5) below at each widening, and nothing else.
 isqrt = math.isqrt
-
-
-def int_surd_sign(p: int, q: int) -> int:
-    """Exact sign of p + q*sqrt(5) for integers p, q.
-
-    Mixed-sign cases compare p^2 against 5 q^2; since 5 is squarefree the
-    compared values are equal only when p = q = 0.
-    """
-    if q == 0:
-        return (p > 0) - (p < 0)
-    if p == 0:
-        return 1 if q > 0 else -1
-    if p > 0 and q > 0:
-        return 1
-    if p < 0 and q < 0:
-        return -1
-    lhs, rhs = p * p, 5 * q * q
-    if p > 0:  # q < 0
-        return (lhs > rhs) - (lhs < rhs)
-    return (rhs > lhs) - (rhs < lhs)
 
 
 def _surd(p: int, q: int, d: int) -> Surd:
@@ -58,51 +38,52 @@ def _surd(p: int, q: int, d: int) -> Surd:
     return s
 
 
-def _product(p: int, q: int, d: int, r: int, s: int, t: int) -> tuple[int, int, int]:
-    """(p + q*sqrt(5))/d times (r + s*sqrt(5))/t for d, t > 0, reduced by one gcd as `_surd` does."""
-    p, q, d = p * r + 5 * q * s, p * s + q * r, d * t
-    g = math.gcd(d, p, q)
-    return p // g, q // g, d // g
+# (K, floor(sqrt(5) * 2^K)): the widest fixed-point sqrt(5) built so far, K a power of two (0
+# before the first build).  It is one tuple, read whole and replaced by one assignment, as `_memo`
+# is, so threads share it without a lock: a pair another thread left costs time, never a wrong answer.
+_sqrt5 = (0, 2)
 
 
-# K -> floor(sqrt(5) * 2^K) for K a power of two: one entry per precision level, built by `isqrt`
-# on first use and never changed, so threads share the table without a lock (a race only builds
-# the same entry twice).
-_SQRT5_SCALED: dict[int, int] = {}
+def _sqrt5_at(j: int) -> int:
+    """floor(sqrt(5) * 2^j): root >> (K - j) for the pair (K, root), built wider first if j > K.
 
-
-def _sqrt5_scaled(q: int) -> tuple[int, int]:
-    """(K, floor(sqrt(5) * 2^K)) for K the least power of two >= 2 bits(q) + 3, so 2^K > 8 q^2.
-
-    Then floor(q*sqrt(5)) = (q * floor(sqrt(5) * 2^K)) >> K exactly, for q of
-    either sign: the product over 2^K lies less than |q|/2^K from q*sqrt(5),
-    on the side of zero, and the integer on that side is {|q|*sqrt(5)} away.  With f = floor(|q|*sqrt(5)) the norm 5q^2 - f^2 is a
-    positive integer, so {|q|*sqrt(5)} = (5q^2 - f^2)/(|q|*sqrt(5) + f)
-    > 1/(5|q|) > |q|/2^K (Hurwitz 1891; Khinchin, *Continued Fractions*).
+    The shift is exact because floor(floor(x)/2^i) = floor(x/2^i).  A wider
+    pair has K the least power of two above j, so the widths `isqrt` builds
+    at least double.  With 2^j > 8 q^2 (j = 2 bits(q) + 3 will do),
+    floor(q*sqrt(5)) = (q * floor(sqrt(5) * 2^j)) >> j exactly, for q of
+    either sign: the product over 2^j lies less than |q|/2^j from q*sqrt(5),
+    on the side of zero, and the integer on that side is {|q|*sqrt(5)} away.
+    With f = floor(|q|*sqrt(5)) the norm 5q^2 - f^2 is a positive integer, so
+    {|q|*sqrt(5)} = (5q^2 - f^2)/(|q|*sqrt(5) + f) > 1/(5|q|) > |q|/2^j
+    (Hurwitz 1891; Khinchin, *Continued Fractions*).
     """
-    k = 2 << (q.bit_length() + 1).bit_length()
-    root = _SQRT5_SCALED.get(k)
-    if root is None:
-        root = _SQRT5_SCALED[k] = isqrt(5 << 2 * k)
-    return k, root
+    global _sqrt5
+    k, root = _sqrt5
+    if j > k:
+        k = 1 << j.bit_length()
+        root = isqrt(5 << 2 * k)
+        _sqrt5 = k, root
+    return root >> (k - j)
 
 
 def _floor(p: int, q: int, d: int) -> int:
-    """floor((p + q*sqrt(5))/d) for integers with d > 0, from the fixed-point sqrt(5) table.
-
-    The product takes only the top j = 2 bits(q) + 3 bits of the level K >= j
-    that `_sqrt5_scaled` picks: R_K >> (K - j) = floor(sqrt(5) * 2^j), because
-    floor(floor(x)/2^i) = floor(x/2^i), and 2^j > 8 q^2, so its bound holds at j.
-    """
+    """floor((p + q*sqrt(5))/d) for integers with d > 0: one product with `_sqrt5_at` and a shift."""
     if q:
         j = 2 * q.bit_length() + 3
-        k = 1 << j.bit_length()  # the least power of two above j, read without a call once built
-        root = _SQRT5_SCALED.get(k)
-        if root is None:
-            k, root = _sqrt5_scaled(q)
-        p += q * (root >> (k - j)) >> j  # floor(q*sqrt(5)); >> rounds toward minus infinity for q < 0 too
+        p += q * _sqrt5_at(j) >> j  # floor(q*sqrt(5)); >> rounds toward minus infinity for q < 0 too
     # floor(x / d) = floor(floor(x) / d) for a positive integer d
     return p // d
+
+
+def int_surd_sign(p: int, q: int) -> int:
+    """Exact sign of p + q*sqrt(5) for integers p, q.
+
+    For q != 0 the value is irrational, so never 0, and it is >= 0 exactly
+    when its floor is.
+    """
+    if q == 0:
+        return (p > 0) - (p < 0)
+    return 1 if _floor(p, q, 1) >= 0 else -1
 
 
 def _surd_operand(method):
@@ -206,22 +187,22 @@ class Surd(Frozen):
             return NotImplemented
         base = self.inverse() if exponent < 0 else self
         # left to right over the bits of |exponent| on integer triples, so one Surd is built, at the
-        # end: a squaring is (p^2 + 5q^2, 2pq, d^2), and only a 1 bit multiplies by the base, which
-        # is usually small
+        # end: a squaring is (p^2 + 5q^2, 2pq, d^2), only a 1 bit multiplies by the base, which is
+        # usually small, and each step then takes one gcd
         bp, bq, bd = base.p, base.q, base.d
         p, q, d = (bp, bq, bd) if exponent else (1, 0, 1)
         for bit in bin(abs(exponent))[3:]:  # the bits after the leading 1
             p, q, d = p * p + 5 * q * q, 2 * p * q, d * d
+            if bit == "1":
+                p, q, d = p * bp + 5 * q * bq, p * bq + q * bp, d * bd
             g = math.gcd(d, p, q)
             p, q, d = p // g, q // g, d // g
-            if bit == "1":
-                p, q, d = _product(p, q, d, bp, bq, bd)
         return _surd(p, q, d)
 
     # -- order --------------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign, by integer comparisons (d > 0)."""
+        """Exact sign, from the floor of p + q*sqrt(5) (d > 0)."""
         return int_surd_sign(self.p, self.q)
 
     def __abs__(self) -> "Surd":
@@ -283,8 +264,8 @@ def beatty_floors(start: int, stop: int) -> list[int]:
     """[floor(m * phi) for start <= m < stop], exactly as beatty_phi computes each one.
 
     Every Beatty sweep reads this one list; floor(m * phi^2) is m more.  With
-    P = floor(phi * 2^K) = (2^K + floor(sqrt(5) * 2^K)) >> 1 and 2^K > 5 m^2,
-    floor(m * phi) = (m * P) >> K: the truncation is below m/2^K, and
+    P = floor(phi * 2^j) = (2^j + floor(sqrt(5) * 2^j)) >> 1 and 2^j > 5 m^2,
+    floor(m * phi) = (m * P) >> j: the truncation is below m/2^j, and
     {m * phi} > 1/(sqrt(5) m) because the norm p^2 - pm - m^2 of p = floor(m * phi)
     is a nonzero integer.  So the sweep is one addition of P and one shift per m.
     """
@@ -292,9 +273,9 @@ def beatty_floors(start: int, stop: int) -> list[int]:
         raise ValueError("Beatty index must be >= 1")
     if stop <= start:
         return []
-    k, root = _sqrt5_scaled(stop)
-    step = ((1 << k) + root) >> 1
-    return [x >> k for x in accumulate(repeat(step, stop - start - 1), initial=start * step)]
+    j = 2 * stop.bit_length() + 3
+    step = ((1 << j) + _sqrt5_at(j)) >> 1
+    return [x >> j for x in accumulate(repeat(step, stop - start - 1), initial=start * step)]
 
 
 # -- Fibonacci and Lucas numbers ----------------------------------------------

@@ -28,6 +28,7 @@ from fibword.goldenexact import (
     zeckendorf_decode,
     zeckendorf_encode,
 )
+from oracle_reference import oracle
 
 # rational bracket of sqrt5, 30 guard digits, for independent sign checks
 _SQRT5_LO = Fraction(isqrt(5 * 10**60), 10**30)
@@ -125,11 +126,11 @@ def test_surd_floor():
     assert (SQRT5 * 100).floor() == 223
 
 
-def test_int_surd_sign_matches_surd():
-    rng = random.Random(3)
-    for _ in range(2000):
-        p, q = rng.randint(-40, 40), rng.randint(-40, 40)
-        assert int_surd_sign(p, q) == Surd(Fraction(p), Fraction(q)).sign()
+def test_int_surd_sign_matches_oracle():
+    # every |p|, |q| <= 40, against the benchmark's square comparison, which fibword does not share
+    for p in range(-40, 41):
+        for q in range(-40, 41):
+            assert int_surd_sign(p, q) == oracle.surd_sign(p, q) == Surd(p, q).sign()
 
 
 def test_sign_and_floor_on_near_cancelling_large_operands():
@@ -812,11 +813,11 @@ def test_rendering_and_powers_build_no_temporary_surds(monkeypatch):
     assert len(calls) == 1 and (power.p, power.q, power.d) == (phi_500.p, phi_500.q, phi_500.d)
 
 
-# -- the fixed-point sqrt(5) table and the shared Zeckendorf weights -------------------------
+# -- the fixed-point sqrt(5) pair and the shared Zeckendorf weights ---------------------------
 
 
 def _floor_isqrt_spelling(p, q, d):
-    """floor((p + q*sqrt5)/d) by math.isqrt on 5 q^2, the spelling the table replaced."""
+    """floor((p + q*sqrt5)/d) by math.isqrt on 5 q^2, the spelling the fixed-point sqrt(5) replaced."""
     root = math.isqrt(5 * q * q)
     return (p + root) // d if q >= 0 else (p - root - 1) // d
 
@@ -830,25 +831,38 @@ def _pell_denominators(most_bits):
 
 
 def _level(q):
-    return goldenexact._sqrt5_scaled(q)[0]
+    """K of the pair a floor with this q needs: the least power of two above 2 bits(q) + 3."""
+    return 1 << (2 * q.bit_length() + 3).bit_length()
 
 
-def test_fixed_point_floor_on_both_sides_of_every_level():
+_EMPTY_PAIR = (0, 2)
+_WIDEST_PAIR = (1 << 17, math.isqrt(5 << (2 << 17)))  # wider than every level these tests reach
+
+
+def test_fixed_point_floor_on_both_sides_of_every_level(monkeypatch):
     # The bit lengths where the level K steps up, from K = 8 to the step past K = 2^15; at each,
-    # the q on both sides and their neighbours, against math.isqrt.
+    # the q on both sides and their neighbours, against math.isqrt, read once from an empty pair,
+    # which the floor widens to q's level, and once as a shift of a wider pair.
     edges = [bits for bits in range(1, 16_383) if _level((1 << bits) - 1) != _level(1 << bits)]
     assert [_level(1 << bits) for bits in edges] == [2**j for j in range(4, 17)]
+    roots = {2**j: math.isqrt(5 << 2 ** (j + 1)) for j in range(3, 17)}
     rng = random.Random(22)
     checked = set()
     for bits in [1, 2, *edges]:
         for q in {(1 << bits) - 2, (1 << bits) - 1, 1 << bits, (1 << bits) + 1, rng.getrandbits(bits) | 1}:
             if q < 1:
                 continue
-            k, root = goldenexact._sqrt5_scaled(q)
-            assert (1 << k) >= 5 * q * q and root == math.isqrt(5 << 2 * k)
+            k = _level(q)
+            assert (1 << k) > 8 * q * q
             for p, d in ((0, 1), (rng.getrandbits(bits + 2), rng.randrange(1, 1 << 40)), (-3, 7)):
-                assert goldenexact._floor(p, q, d) == _floor_isqrt_spelling(p, q, d)
-                assert goldenexact._floor(p, -q, d) == _floor_isqrt_spelling(p, -q, d)
+                for signed_q in (q, -q):
+                    expected = _floor_isqrt_spelling(p, signed_q, d)
+                    monkeypatch.setattr(goldenexact, "_sqrt5", _EMPTY_PAIR)
+                    assert goldenexact._floor(p, signed_q, d) == expected
+                    assert goldenexact._sqrt5 == (k, roots[k])
+                    monkeypatch.setattr(goldenexact, "_sqrt5", _WIDEST_PAIR)
+                    assert goldenexact._floor(p, signed_q, d) == expected
+                    assert goldenexact._sqrt5 is _WIDEST_PAIR
             checked.add(k)
     assert checked == {2**j for j in range(3, 17)}
 
@@ -864,7 +878,7 @@ def test_fixed_point_floor_at_every_bit_length():
                 assert goldenexact._floor(p, -q, d) == _floor_isqrt_spelling(p, -q, d)
 
 
-def test_fixed_point_floor_where_q_sqrt5_is_nearest_an_integer():
+def test_fixed_point_floor_where_q_sqrt5_is_nearest_an_integer(monkeypatch):
     # 5 q^2 - f^2 = 1 or -1 is where the truncation comes closest to crossing: every such q up to
     # 1,024 bits, and past that the last one below and the first one above each level's edge.
     pell = list(_pell_denominators(16_384))
@@ -876,9 +890,11 @@ def test_fixed_point_floor_where_q_sqrt5_is_nearest_an_integer():
         for near in (q - 1, q, q + 1):
             if near >= 1:
                 root = math.isqrt(5 * near * near)
-                assert goldenexact._floor(0, near, 1) == root
-                assert goldenexact._floor(0, -near, 1) == -root - 1
-                assert goldenexact._floor(1, near, 2) == (1 + root) // 2
+                for pair in (_EMPTY_PAIR, _WIDEST_PAIR):  # built at near's level, or shifted down
+                    monkeypatch.setattr(goldenexact, "_sqrt5", pair)
+                    assert goldenexact._floor(0, near, 1) == root
+                    assert goldenexact._floor(0, -near, 1) == -root - 1
+                    assert goldenexact._floor(1, near, 2) == (1 + root) // 2
 
 
 _SIX_HUNDRED_DIGITS = st.integers(min_value=-(10**600), max_value=10**600)
@@ -895,24 +911,57 @@ def test_sign_and_floor_near_cancelling_up_to_1e600(b, offset, den):
     # is the norm a^2 - 5 b^2
     norm = a * a - 5 * b * b
     assert s.sign() == ((norm > 0) - (norm < 0)) * (1 if a > 0 else -1)
+    assert int_surd_sign(a, b) == oracle.surd_sign(a, b) == s.sign()
+    assert int_surd_sign(-a, -b) == oracle.surd_sign(-a, -b) == -s.sign()
 
 
-def test_floors_and_renderings_build_each_level_once(monkeypatch):
-    builds = []
-    monkeypatch.setattr(goldenexact, "_SQRT5_SCALED", {})
-    monkeypatch.setattr(goldenexact, "isqrt", lambda x: builds.append(x) or math.isqrt(x))
-    rng = random.Random(2201)
-    for _ in range(10**4):
-        s = Surd(Fraction(rng.randrange(10**59, 10**60), 7), Fraction(-rng.randrange(10**59, 10**60), 11))
-        s.floor()
-        surd_decimal(s, 20)
-    from fibword.mechanical import mechanical_prefix
+def _operands(digits):
+    """(p, q, d) with q of `digits` digits and |p|, d below 10^digits, d > 0; seeded by the size."""
+    rng = random.Random(digits)
+    p, q = rng.randrange(-(10**digits), 10**digits), rng.randrange(10 ** (digits - 1), 10**digits)
+    return p, q, rng.randrange(1, 10**digits)
 
-    mechanical_prefix(10**6)
-    table = goldenexact._SQRT5_SCALED
-    # every build is one level's entry, and no level was built twice
-    assert sorted(builds) == sorted(5 << 2 * k for k in table)
-    assert len(builds) <= 4
+
+def _kernel_answers(p, q, d):
+    s = Surd(Fraction(p, d), Fraction(-q, 7))  # (7p - dq*sqrt5)/7d
+    floors = goldenexact.beatty_floors(q, q + 20)
+    floor_q, floor_minus_q = goldenexact._floor(p, q, d), goldenexact._floor(p, -q, d)
+    return floor_q, floor_minus_q, s.floor(), s.sign(), surd_decimal(s, 20), floors
+
+
+def _reference_answers(p, q, d):
+    floors = [(m + math.isqrt(5 * m * m)) >> 1 for m in range(q, q + 20)]
+    a, b, den = 7 * p, -d * q, 7 * d
+    return (
+        _floor_isqrt_spelling(p, q, d),
+        _floor_isqrt_spelling(p, -q, d),
+        _floor_isqrt_spelling(a, b, den),
+        oracle.surd_sign(a, b),
+        oracle.surd_decimal(a, b, den, 20),
+        floors,
+    )
+
+
+def test_floors_and_renderings_build_only_wider_pairs(monkeypatch):
+    # Increasing, decreasing and shuffled operand sizes, each from an empty pair: every isqrt build
+    # is wider than the one before it, and every answer equals its reference whatever the order.
+    sizes = [1, 2, 5, 12, 30, 60, 150, 300, 600, 1200, 2500]
+    shuffled = sizes[:]
+    random.Random(2501).shuffle(shuffled)
+    for order in (sizes, sizes[::-1], shuffled):
+        builds = []  # the bit length of each isqrt argument
+        monkeypatch.setattr(goldenexact, "_sqrt5", _EMPTY_PAIR)
+        monkeypatch.setattr(goldenexact, "isqrt", lambda x: builds.append(x.bit_length()) or math.isqrt(x))
+        for digits in order:
+            operands = _operands(digits)
+            assert _kernel_answers(*operands) == _reference_answers(*operands)
+            if digits == max(sizes):
+                widest_builds = len(builds)
+        assert builds == sorted(set(builds)) and builds
+        k, root = goldenexact._sqrt5
+        assert builds[-1] == (5 << 2 * k).bit_length() and root == math.isqrt(5 << 2 * k)
+        if order[0] == max(sizes):
+            assert len(builds) == widest_builds  # every floor after the widest size's is a shift
 
 
 def _zeckendorf_reference(m):
@@ -966,9 +1015,9 @@ def test_zeckendorf_matches_reference(m):
 
 
 def test_kernel_tables_exact_under_interleaving_threads(monkeypatch):
-    # Eight threads, each at its own operand size, start from empty tables and keep growing and
-    # reading them together; every answer must match its reference.
-    monkeypatch.setattr(goldenexact, "_SQRT5_SCALED", {})
+    # Eight threads, each at its own operand size, start from an empty sqrt(5) pair and weight tuple
+    # and keep widening and reading them together; every answer must match its reference.
+    monkeypatch.setattr(goldenexact, "_sqrt5", (0, 2))
     monkeypatch.setattr(goldenexact, "_weights", (1, 2))
     bad, done = [], []
 

@@ -16,7 +16,6 @@ from fibword.goldenexact import (
     beatty_phi,
     beatty_phi2,
     fib,
-    int_surd_sign,
     zeckendorf_encode,
 )
 from fibword.claims import morphic_mechanical_agree, verify_beatty_partition
@@ -28,6 +27,7 @@ from fibword.mechanical import (
     ones_counts,
 )
 from fibword.morphism import fibonacci_morphism, fixed_point_prefix
+from oracle_reference import oracle
 
 PREFIX_13 = "0100101001001"
 
@@ -195,14 +195,15 @@ def sweep_records(limit):
     """The reference sweep: every n <= limit where |count1(n) - n/phi^2| beats all smaller n.
 
     Integers only: twice the deviation at n is p + q*sqrt5 with p = 2*count1 - 3n and q = n,
-    and sizes compare through their squares (p^2 + 5q^2) + 2pq*sqrt5. Returns (n, size) pairs.
+    and sizes compare through their squares (p^2 + 5q^2) + 2pq*sqrt5, signed by the benchmark's
+    fibword-free `surd_sign`. Returns (n, size) pairs.
     """
     records = []
     best_sq = None
     for n, count1 in enumerate(ones_counts(limit), 1):
         p, q = 2 * count1 - 3 * n, n
         sq = (p * p + 5 * q * q, 2 * p * q)
-        if best_sq is None or int_surd_sign(sq[0] - best_sq[0], sq[1] - best_sq[1]) > 0:
+        if best_sq is None or oracle.surd_sign(sq[0] - best_sq[0], sq[1] - best_sq[1]) > 0:
             best_sq = sq
             records.append((n, abs(Surd(Fraction(p, 2), Fraction(q, 2)))))
     return tuple(records)

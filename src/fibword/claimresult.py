@@ -1,9 +1,8 @@
 """Adjudication records.
 
-`fibword.claims` builds them: its `_claim(id, location)` decorator turns a
-check's `(status, witness, payload)` into the `ClaimResult` below.  The one
-record built outside `_claim` is the alpha-identity summary, which takes its
-id and location from the result of the decorated `alpha_identity_check`.
+`fibword.claims` builds them, in one place: its `_claim(id, location, bounds)`
+decorator turns a check's `(status, witness, payload)` into the `ClaimResult`
+below.
 """
 
 from __future__ import annotations

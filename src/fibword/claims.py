@@ -72,7 +72,8 @@ PUBLISHED_DENSITY_TABLE = (
 class Budgets(Frozen):
     """The sweep bounds the CLI sets; all checks are exact within them.
 
-    Every other bound is a literal in `REGISTRY`.
+    A claim's `_claim` decorator names the fields its check reads; every
+    other bound is a literal there.
     """
 
     def __init__(self, sweep_n: int = 100_000, scan_n: int = 10_000, ball_cases: int = 10_000) -> None:
@@ -97,15 +98,26 @@ def refuted(witness: str, **payload: Any) -> Verdict:
     return REFUTED, witness, payload
 
 
-def _claim(claim_id: str, location: str):
+# Claim id -> (name of its decorated check in this module, bounds), filled by `_claim`.
+REGISTRY: dict[str, tuple[str, tuple[Any, ...]]] = {}
+
+
+def _claim(claim_id: str, location: str, bounds: tuple[Any, ...] | None = None):
     """Decorator for a check of one claim: the check returns its `Verdict`, and the
-    decorated function returns the `ClaimResult` under this id and location."""
+    decorated function returns the `ClaimResult` under this id and location.
+
+    `bounds` holds one entry per check argument: a `Budgets` field name, read
+    when the claim runs, or a fixed literal.  With bounds the check is the
+    claim's `REGISTRY` entry; without, it is a public check outside the run.
+    """
 
     def decorate(check):
         @functools.wraps(check)
         def result(*args: Any, **kwargs: Any) -> ClaimResult:
             return ClaimResult(claim_id, location, *check(*args, **kwargs))
 
+        if bounds is not None:
+            REGISTRY[claim_id] = (check.__name__, bounds)
         return result
 
     return decorate
@@ -125,7 +137,7 @@ def telescope_terms(m: int, k: int) -> tuple[Fraction, Fraction]:
     return Fraction(scale, lu * lu + 1), Fraction(scale, lu * lu - 1)
 
 
-@_claim("telescoping-identity", "claimed telescoping series of scaled Fibonacci-Lucas ratios")
+@_claim("telescoping-identity", "claimed telescoping series of scaled Fibonacci-Lucas ratios", (1, 10))
 def check_telescoping(m: int, k_max: int) -> Verdict:
     """Is a_k = T_k - T_{k+1}, and do the terms shrink, as the claimed
     telescoping series requires?"""
@@ -156,40 +168,56 @@ def check_telescoping(m: int, k_max: int) -> Verdict:
     return verified(f"telescoping and monotone decay hold for m={m}, k < {k_max}", m=m, k_max=k_max)
 
 
-@_claim("doubling-fib", "Fibonacci doubling identity F(2n) = F(n) L(n)")
+def _fib_lucas_table(top: int) -> tuple[list[int], list[int]]:
+    """F(0..top) and L(0..top) by the plain recurrences x(k+2) = x(k+1) + x(k).
+
+    The doubling checks read these, not `fib` and `lucas`: the kernel builds
+    F(2n) as F(n) L(n) itself, so checking the identity on its values would
+    compare the kernel with itself.
+    """
+    f, lu = [0, 1], [2, 1]
+    while len(f) <= top:
+        f.append(f[-1] + f[-2])
+        lu.append(lu[-1] + lu[-2])
+    return f, lu
+
+
+@_claim("doubling-fib", "Fibonacci doubling identity F(2n) = F(n) L(n)", (50,))
 def doubling_fib_check(n_max: int) -> Verdict:
-    """Check F(2n) = F(n)L(n) for 2 <= n <= n_max."""
+    """Check F(2n) = F(n)L(n) for 2 <= n <= n_max, on the recurrences' values."""
     if n_max < 2:
         raise ValueError("doubling check needs n_max >= 2")
+    f, lu = _fib_lucas_table(2 * n_max)
     for n in range(2, n_max + 1):
-        if fib(2 * n) != fib(n) * lucas(n):
-            return refuted(f"n={n}: F({2 * n}) = {fib(2 * n)} != F({n}) L({n}) = {fib(n) * lucas(n)}", n=n)
+        if f[2 * n] != f[n] * lu[n]:
+            return refuted(f"n={n}: F({2 * n}) = {f[2 * n]} != F({n}) L({n}) = {f[n] * lu[n]}", n=n)
     return verified(f"holds for all 2 <= n <= {n_max}", n_max=n_max)
 
 
-@_claim("doubling-lucas-form", "Lucas doubling identity as stated, L(2n) = L(n)^2 - 2")
+@_claim("doubling-lucas-form", "Lucas doubling identity as stated, L(2n) = L(n)^2 - 2", (50,))
 def doubling_lucas_form_check(n_max: int) -> Verdict:
-    """Check the stated L(2n) = L(n)^2 - 2 for 2 <= n <= n_max.
+    """Check the stated L(2n) = L(n)^2 - 2 for 2 <= n <= n_max, on the recurrence's values.
 
     The stated form drops the sign term of L(2n) = L(n)^2 - 2(-1)^n, so it
     fails at odd n (already at n = 1, outside this sweep's domain).
     """
     if n_max < 2:
         raise ValueError("doubling check needs n_max >= 2")
+    lu = _fib_lucas_table(2 * n_max)[1]
     for n in range(2, n_max + 1):
-        if lucas(2 * n) != lucas(n) ** 2 - 2:
+        if lu[2 * n] != lu[n] ** 2 - 2:
             return refuted(
-                f"n={n}: L({2 * n}) = {lucas(2 * n)} but L({n})^2 - 2 = {lucas(n) ** 2 - 2}",
+                f"n={n}: L({2 * n}) = {lu[2 * n]} but L({n})^2 - 2 = {lu[n] ** 2 - 2}",
                 n=n,
-                lucas_2n=lucas(2 * n),
-                stated_value=lucas(n) ** 2 - 2,
-                signed_form_value=lucas(n) ** 2 - 2 * (-1) ** n,
+                lucas_2n=lu[2 * n],
+                stated_value=lu[n] ** 2 - 2,
+                signed_form_value=lu[n] ** 2 - 2 * (-1) ** n,
                 note="the signed form L(2n) = L(n)^2 - 2(-1)^n holds; n=1 also fails the stated form",
             )
     return verified(f"holds for all 2 <= n <= {n_max}", n_max=n_max)
 
 
-@_claim("generating-function", "x / (1 - x - x^2) generates the Fibonacci sequence")
+@_claim("generating-function", "x / (1 - x - x^2) generates the Fibonacci sequence", (20,))
 def genfunc_check(n_max: int) -> Verdict:
     """Truncated expansion of x / (1 - x - x^2) versus the Fibonacci numbers.
 
@@ -221,7 +249,7 @@ def genfunc_check(n_max: int) -> Verdict:
     )
 
 
-@_claim("binet-formulas", "Binet formulas for Fibonacci and Lucas numbers")
+@_claim("binet-formulas", "Binet formulas for Fibonacci and Lucas numbers", (200,))
 def binet_check(n_max: int) -> Verdict:
     """Surd exponentiation versus the recurrences, exactly, for n <= n_max."""
     if n_max < 1:
@@ -257,7 +285,7 @@ def _random_bits(rng: random.Random, length: int) -> str:
     return format(rng.getrandbits(length), f"0{length}b") if length else ""
 
 
-@_claim("ball-nesting", "two intersecting open balls in the word ultrametric are nested")
+@_claim("ball-nesting", "two intersecting open balls in the word ultrametric are nested", ("ball_cases", 24, 7))
 def ball_nesting_check(cases: int, word_len: int, seed: int) -> Verdict:
     """Intersecting open balls must be nested (restricted to equal-length words).
 
@@ -319,7 +347,9 @@ def ball_nesting_check(cases: int, word_len: int, seed: int) -> Verdict:
 
 
 @_claim(
-    "beatty-partition", "complementary Beatty sequences for phi and phi^2 partition the positive integers"
+    "beatty-partition",
+    "complementary Beatty sequences for phi and phi^2 partition the positive integers",
+    ("sweep_n",),
 )
 def verify_beatty_partition(limit: int) -> Verdict:
     """Each k <= limit must be hit exactly once across the two Beatty sequences."""
@@ -331,7 +361,9 @@ def verify_beatty_partition(limit: int) -> Verdict:
     return refuted(f"k={k} is hit {rest[0]} times", first_bad_k=k, hit_count=rest[0], n_checked=limit)
 
 
-@_claim("morphic-mechanical-agreement", "the morphic fixed point equals the mechanical (Beatty) word")
+@_claim(
+    "morphic-mechanical-agreement", "the morphic fixed point equals the mechanical (Beatty) word", ("sweep_n",)
+)
 def morphic_mechanical_agree(n: int) -> Verdict:
     """Fixed point of 0->01, 1->0 versus the Beatty labelling, symbol by symbol."""
     morphic = fixed_point_prefix(fibonacci_morphism(), "0", n).text
@@ -346,7 +378,7 @@ def morphic_mechanical_agree(n: int) -> Verdict:
     )
 
 
-@_claim("density-convergence", "symbol densities of the Fibonacci word are 1/phi and 1/phi^2")
+@_claim("density-convergence", "symbol densities of the Fibonacci word are 1/phi and 1/phi^2", ("scan_n",))
 def _claim_density_convergence(scan_n: int) -> Verdict:
     for n, count1 in enumerate(ones_counts(scan_n), 1):
         if n < 2:
@@ -366,7 +398,11 @@ def _claim_density_convergence(scan_n: int) -> Verdict:
     )
 
 
-@_claim("discrepancy-bound", "ones-count of prefixes deviates from n/phi^2 by O(1); constant 1 certified")
+@_claim(
+    "discrepancy-bound",
+    "ones-count of prefixes deviates from n/phi^2 by O(1); constant 1 certified",
+    ("sweep_n",),
+)
 def _claim_discrepancy_bound(sweep_n: int) -> Verdict:
     value, attained_at = max_discrepancy(sweep_n)
     if value < 1:
@@ -386,7 +422,7 @@ def _claim_discrepancy_bound(sweep_n: int) -> Verdict:
     )
 
 
-@_claim("local-no-11", "the Fibonacci word contains no factor 11")
+@_claim("local-no-11", "the Fibonacci word contains no factor 11", ("sweep_n",))
 def _claim_local_no_11(sweep_n: int) -> Verdict:
     position = mechanical_prefix(sweep_n).text.find("11")
     if position == -1:
@@ -394,7 +430,7 @@ def _claim_local_no_11(sweep_n: int) -> Verdict:
     return refuted(f"factor 11 at position {position + 1}", position=position + 1)
 
 
-@_claim("local-three-window", "every length-3 factor of the Fibonacci word contains exactly one 1")
+@_claim("local-three-window", "every length-3 factor of the Fibonacci word contains exactly one 1", ("scan_n",))
 def _claim_local_three_window(scan_n: int) -> Verdict:
     text = mechanical_prefix(scan_n).text
     for i in range(len(text) - 2):
@@ -411,7 +447,7 @@ def _claim_local_three_window(scan_n: int) -> Verdict:
     return verified(f"all length-3 windows of the length-{scan_n} prefix have exactly one 1", scan_n=scan_n)
 
 
-@_claim("y-length-formula", "the n-th y-word has length F(n+2)")
+@_claim("y-length-formula", "the n-th y-word has length F(n+2)", (30,))
 def _claim_y_length(y_max: int) -> Verdict:
     for n, text in zip(range(y_max + 1), y_words()):
         if len(text) != fib(n + 2):
@@ -419,7 +455,7 @@ def _claim_y_length(y_max: int) -> Verdict:
     return verified(f"|y_n| = F(n+2) for 0 <= n <= {y_max}", y_max=y_max)
 
 
-@_claim("letter-counts", "closed-form letter counts for the three Fibonacci-type families")
+@_claim("letter-counts", "closed-form letter counts for the three Fibonacci-type families", (25,))
 def _claim_letter_counts(letters_max: int) -> Verdict:
     families = ((FAMILY_Y, y_word, 0), (FAMILY_Q, q_word, 1), (FAMILY_FIBAB, fib_word_ab, 1))
     for family, build, first in families:
@@ -448,6 +484,7 @@ def _claim_letter_counts(letters_max: int) -> Verdict:
 @_claim(
     "framed-density-limit",
     "letter densities of the framed family tend to 1/phi and 1/phi^2 (published density table)",
+    (19,),
 )
 def _claim_framed_density_limit(framed_m_max: int) -> Verdict:
     tolerance = Fraction(1, 1000)
@@ -482,7 +519,7 @@ def _claim_framed_density_limit(framed_m_max: int) -> Verdict:
     )
 
 
-@_claim("df-convergence", "a-density of the Fibonacci words converges to phi - 1")
+@_claim("df-convergence", "a-density of the Fibonacci words converges to phi - 1", (30,))
 def _claim_df_convergence(df_k: int) -> Verdict:
     density = df_density(df_k)
     if abs(density - INV_PHI) < Fraction(1, 10**6):
@@ -496,7 +533,7 @@ def _claim_df_convergence(df_k: int) -> Verdict:
     return refuted(f"|df({df_k}) - (phi - 1)| >= 10^-6", df_k=df_k, density=str(density))
 
 
-@_claim("pow-invariance", "the power element built from Fibonacci words is independent of the index")
+@_claim("pow-invariance", "the power element built from Fibonacci words is independent of the index", (6,))
 def check_pow_invariance(k_max: int) -> Verdict:
     """Are pow_fib(2), ..., pow_fib(k_max) all equal, as claimed?"""
     if k_max < 3:
@@ -524,7 +561,7 @@ def check_pow_invariance(k_max: int) -> Verdict:
     return verified(f"pow(k) identical for 2 <= k <= {k_max}", k_max=k_max)
 
 
-@_claim("pow-value", "claimed constant value of the power element")
+@_claim("pow-value", "claimed constant value of the power element", ())
 def _claim_pow_value() -> Verdict:
     computed = pow_fib(2)
     claimed = element_from_texts(AB, CLAIMED_POW_WORDS)
@@ -543,8 +580,7 @@ def _claim_pow_value() -> Verdict:
     )
 
 
-@_claim("alpha-identity", "weighted power-sum identity for binary sequences")
-def alpha_identity_check(alpha: int, w: Word) -> Verdict:
+def _alpha_identity(alpha: int, w: Word) -> Verdict:
     """Weighted power sums over a 0/1 word versus the triangular-number multiple.
 
     Checks sum_k sum_{j=1..alpha} (alpha+1-j) * w_k^j = alpha(alpha+1)/2 * sum_k w_k
@@ -578,62 +614,45 @@ def alpha_identity_check(alpha: int, w: Word) -> Verdict:
     )
 
 
-def _claim_alpha_identity(alpha_max: int, scan_n: int) -> ClaimResult:
-    """`alpha_identity_check` for alpha = 1..alpha_max on one prefix, as one claim."""
+_ALPHA_IDENTITY = ("alpha-identity", "weighted power-sum identity for binary sequences")
+
+
+@_claim(*_ALPHA_IDENTITY, (10, "scan_n"))
+def _claim_alpha_identity(alpha_max: int, scan_n: int) -> Verdict:
+    """The identity for alpha = 1..alpha_max on one prefix, as one claim."""
     prefix = mechanical_prefix(scan_n)
-    last = None
     for alpha in range(1, alpha_max + 1):
-        last = alpha_identity_check(alpha, prefix)
-        if not last.verified:
-            return last
-    assert last is not None
-    return ClaimResult(
-        last.id,
-        last.location,
-        *verified(
-            f"identity exact for alpha in 1..{alpha_max} on the length-{scan_n} prefix",
-            alpha_max=alpha_max,
-            scan_n=scan_n,
-            value_at_alpha_max=last.payload["value"],
-        ),
+        status, _, payload = verdict = _alpha_identity(alpha, prefix)
+        if status != VERIFIED:
+            return verdict
+    return verified(
+        f"identity exact for alpha in 1..{alpha_max} on the length-{scan_n} prefix",
+        alpha_max=alpha_max,
+        scan_n=scan_n,
+        value_at_alpha_max=payload["value"],
     )
 
 
-# Claim id -> run(budgets).  Runs look checks up by module-global name at call
-# time, so rebinding one reaches them.
-REGISTRY = {
-    "beatty-partition": lambda b: verify_beatty_partition(b.sweep_n),
-    "morphic-mechanical-agreement": lambda b: morphic_mechanical_agree(b.sweep_n),
-    "density-convergence": lambda b: _claim_density_convergence(b.scan_n),
-    "discrepancy-bound": lambda b: _claim_discrepancy_bound(b.sweep_n),
-    "local-no-11": lambda b: _claim_local_no_11(b.sweep_n),
-    "local-three-window": lambda b: _claim_local_three_window(b.scan_n),
-    "framed-density-limit": lambda b: _claim_framed_density_limit(19),
-    "y-length-formula": lambda b: _claim_y_length(30),
-    "alpha-identity": lambda b: _claim_alpha_identity(10, b.scan_n),
-    "pow-invariance": lambda b: check_pow_invariance(6),
-    "pow-value": lambda b: _claim_pow_value(),
-    "telescoping-identity": lambda b: check_telescoping(1, 10),
-    "doubling-fib": lambda b: doubling_fib_check(50),
-    "doubling-lucas-form": lambda b: doubling_lucas_form_check(50),
-    "binet-formulas": lambda b: binet_check(200),
-    "generating-function": lambda b: genfunc_check(20),
-    "ball-nesting": lambda b: ball_nesting_check(b.ball_cases, 24, 7),
-    "letter-counts": lambda b: _claim_letter_counts(25),
-    "df-convergence": lambda b: _claim_df_convergence(30),
-}
+# The per-alpha check, public under the same id and location; with no bounds it is not in `REGISTRY`.
+alpha_identity_check = _claim(*_ALPHA_IDENTITY)(_alpha_identity)
 
 ALL_CLAIM_IDS = tuple(sorted(REGISTRY))
 
 
 def run_claims(ids: Iterable[str] | None, budgets: Budgets | None = None) -> list[ClaimResult]:
-    """Evaluate each wanted id once (all if None); results in stable id order."""
-    b = budgets if budgets is not None else Budgets()
+    """Evaluate each wanted id once (all if None); results in stable id order.
+
+    Each check is looked up by name as its claim runs, so rebinding it reaches
+    the run.  A bound that names a `Budgets` field reads it; any other bound is
+    the argument itself.
+    """
+    fields = vars(budgets if budgets is not None else Budgets())
     wanted = ALL_CLAIM_IDS if ids is None else list(ids)
     unknown = [i for i in wanted if i not in REGISTRY]
     if unknown:
         raise ValueError(f"unknown claim id(s): {', '.join(unknown)}")
-    return [REGISTRY[i](b) for i in sorted(set(wanted))]
+    entries = [REGISTRY[i] for i in sorted(set(wanted))]
+    return [globals()[name](*(fields.get(x, x) for x in bounds)) for name, bounds in entries]
 
 
 def run_all_claims(budgets: Budgets | None = None) -> list[ClaimResult]:

@@ -168,11 +168,7 @@ class Surd(Frozen):
     __rmul__ = __mul__
 
     def inverse(self) -> "Surd":
-        # d / (p + q sqrt5) = d (p - q sqrt5) / (p^2 - 5 q^2)
-        norm = self.p * self.p - 5 * self.q * self.q
-        if norm == 0:
-            raise ZeroDivisionError("surd division by zero")
-        return _surd(self.d * self.p, -self.d * self.q, norm)
+        return self**-1
 
     @_surd_operand
     def __truediv__(self, o):
@@ -185,11 +181,14 @@ class Surd(Frozen):
     def __pow__(self, exponent: int) -> "Surd":
         if not isinstance(exponent, int):
             return NotImplemented
-        base = self.inverse() if exponent < 0 else self
+        bp, bq, bd = self.p, self.q, self.d
+        if exponent < 0:  # the base is d / (p + q sqrt5) = d (p - q sqrt5) / (p^2 - 5 q^2), as a triple
+            bp, bq, bd = bd * bp, -bd * bq, bp * bp - 5 * bq * bq
+            if bd == 0:
+                raise ZeroDivisionError("surd division by zero")
         # left to right over the bits of |exponent| on integer triples, so one Surd is built, at the
         # end: a squaring is (p^2 + 5q^2, 2pq, d^2), only a 1 bit multiplies by the base, which is
         # usually small, and each step then takes one gcd
-        bp, bq, bd = base.p, base.q, base.d
         p, q, d = (bp, bq, bd) if exponent else (1, 0, 1)
         for bit in bin(abs(exponent))[3:]:  # the bits after the leading 1
             p, q, d = p * p + 5 * q * q, 2 * p * q, d * d

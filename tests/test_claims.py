@@ -1,10 +1,12 @@
+import inspect
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from oracle_reference import oracle
 
-from fibword import claims
+from fibword import claims, goldenexact
 from fibword.claimresult import ClaimResult
 from fibword.claims import (
     ALL_CLAIM_IDS,
@@ -211,6 +213,47 @@ def test_run_claims_single_id_matches_full_registry(claim_id, small_registry):
     assert [r.record() for r in run_claims([claim_id], SMALL_BUDGETS)] == [small_registry[claim_id]]
 
 
+BUDGET_FIELDS = set(vars(Budgets()))
+
+
+@pytest.mark.parametrize("claim_id", ALL_CLAIM_IDS)
+def test_registry_record_runs_the_named_check_on_its_bounds(claim_id, small_registry, monkeypatch):
+    name, bounds = claims.REGISTRY[claim_id]
+    assert all(b in BUDGET_FIELDS if isinstance(b, str) else isinstance(b, int) for b in bounds)
+    assert len(bounds) == len(inspect.signature(getattr(claims, name)).parameters)
+    assert small_registry[claim_id]["id"] == claim_id
+    calls = []
+    monkeypatch.setattr(claims, name, lambda *args: calls.append(args) or "rebound")
+    assert run_claims([claim_id], SMALL_BUDGETS) == ["rebound"]
+    assert calls == [tuple(getattr(SMALL_BUDGETS, b) if isinstance(b, str) else b for b in bounds)]
+
+
+def test_registry_ids_are_the_oracle_ids():
+    assert ALL_CLAIM_IDS == oracle.CLAIM_IDS
+
+
+def _fib_lucas_seeded_l0_3(n):
+    """`goldenexact._fib_lucas` with L(0) seeded as 3 in place of 2."""
+    fk, lk, k_odd = 0, 3, False
+    for bit in bin(n)[2:]:
+        fk, lk = fk * lk, lk * lk + (2 if k_odd else -2)
+        k_odd = bit == "1"
+        if k_odd:
+            fk, lk = (fk + lk) >> 1, (5 * fk + lk) >> 1
+    return fk, lk
+
+
+def test_doubling_claims_do_not_read_the_kernel(monkeypatch):
+    # The kernel builds F(2n) as F(n) L(n), so a wrong seed keeps that identity; the doubling
+    # claims must not notice a kernel mutant, because they check the identity, not the kernel.
+    ids = ["doubling-fib", "doubling-lucas-form"]
+    unmutated = [r.record() for r in run_claims(ids)]
+    monkeypatch.setattr(goldenexact, "_fib_lucas", _fib_lucas_seeded_l0_3)
+    monkeypatch.setattr(goldenexact, "_memo", (0, 0, 3))
+    assert goldenexact.fib(10) == 33463  # the mutant is live
+    assert [r.record() for r in run_claims(ids)] == unmutated
+
+
 def test_run_claims_unknown_id():
     with pytest.raises(ValueError, match="unknown claim id\\(s\\): nope"):
         run_claims(["nope"])
@@ -299,7 +342,6 @@ REFUTING_MUTANTS = {
         lambda f: lambda n: f(n) + (n == 20),
         {
             "binet-formulas": ("(phi^20 - phibar^20)/sqrt5 != F(20)", {"n": 20}),
-            "doubling-fib": ("n=10: F(20) = 6766 != F(10) L(10) = 6765", {"n": 10}),
             "generating-function": (
                 "coefficient of x^20 is 6765, expected F(20) = 6766",
                 {"k": 20, "coefficient": "6765", "expected": 6766},
@@ -310,10 +352,12 @@ REFUTING_MUTANTS = {
     "lucas-plus-1-at-7": (
         "lucas",
         lambda f: lambda n: f(n) + (n == 7),
-        {
-            "binet-formulas": ("phi^7 + phibar^7 != L(7)", {"n": 7}),
-            "doubling-fib": ("n=7: F(14) = 377 != F(7) L(7) = 390", {"n": 7}),
-        },
+        {"binet-formulas": ("phi^7 + phibar^7 != L(7)", {"n": 7})},
+    ),
+    "recurrence-fib-plus-1-at-20": (
+        "_fib_lucas_table",
+        lambda f: lambda top: ([x + (k == 20) for k, x in enumerate(f(top)[0])], f(top)[1]),
+        {"doubling-fib": ("n=10: F(20) = 6766 != F(10) L(10) = 6765", {"n": 10})},
     ),
     "telescope-terms-flat": (
         "telescope_terms",

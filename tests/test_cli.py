@@ -342,7 +342,7 @@ def test_claims_csv_payload_column(capsys):
     lines = out.splitlines()
     assert lines[0] == "id,location,status,witness,payload"
     assert lines[1].startswith("doubling-lucas-form,")
-    assert len(lines) == 2  # the doubling sweep returns both ids; only the named one is kept
+    assert len(lines) == 2  # one record: only the named claim runs
 
 
 def test_claims_id_evaluates_only_named_claims(capsys, monkeypatch):

@@ -811,6 +811,11 @@ def test_rendering_and_powers_build_no_temporary_surds(monkeypatch):
     assert calls == []  # an irrational value is rendered from its integer triple alone
     power = PHI**500
     assert len(calls) == 1 and (power.p, power.q, power.d) == (phi_500.p, phi_500.q, phi_500.d)
+    for s in operands:
+        for exponent in (-1, -2, -500):
+            calls.clear()
+            power = s**exponent
+            assert len(calls) == 1 and power * s**-exponent == 1
 
 
 # -- the fixed-point sqrt(5) pair and the shared Zeckendorf weights ---------------------------

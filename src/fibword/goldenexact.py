@@ -5,8 +5,10 @@ Everything here is integer exact.  A `Surd` is the integer triple
 one gcd per result; every floor and every sign of such a value is one
 product with the one fixed-point sqrt(5) and a shift; `fib` and `lucas` double
 over the pair (F(k), L(k)) and keep the last pair built, so a neighbouring
-index costs one linear step.  Floating point never appears; decimal strings
-are produced by digit extraction from exact values.
+index costs one linear step.  From a few thousand on, the pair and the
+product F(k) L(k) come from the system's GMP where it loads (`_gmp`).
+Floating point never appears; decimal strings are produced by digit
+extraction from exact values.
 """
 
 from __future__ import annotations
@@ -84,6 +86,20 @@ def int_surd_sign(p: int, q: int) -> int:
     if q == 0:
         return (p > 0) - (p < 0)
     return 1 if _floor(p, q, 1) >= 0 else -1
+
+
+def _quotient(p: int, q: int, d: int, y: Surd) -> tuple[int, int, int]:
+    """The triple of (p + q*sqrt(5))/d divided by y = (p2 + q2*sqrt(5))/d2, not in lowest terms.
+
+    Above and below times the conjugate p2 - q2*sqrt(5):
+    (d2 (p p2 - 5 q q2) + d2 (q p2 - p q2) sqrt(5)) / (d (p2^2 - 5 q2^2)).
+    The norm p2^2 - 5 q2^2 is zero only for y = 0, as sqrt(5) is irrational.
+    """
+    p2, q2, d2 = y.p, y.q, y.d
+    norm = p2 * p2 - 5 * q2 * q2
+    if norm == 0:
+        raise ZeroDivisionError("surd division by zero")
+    return d2 * (p * p2 - 5 * q * q2), d2 * (q * p2 - p * q2), d * norm
 
 
 def _surd_operand(method):
@@ -172,20 +188,19 @@ class Surd(Frozen):
 
     @_surd_operand
     def __truediv__(self, o):
-        return self * o.inverse()
+        return _surd(*_quotient(self.p, self.q, self.d, o))
 
-    @_surd_operand
-    def __rtruediv__(self, o):
-        return o * self.inverse()
+    def __rtruediv__(self, o):  # o is not a Surd, or __truediv__ would have served; no Surd is built for it
+        if not isinstance(o, (int, Fraction)):
+            return NotImplemented
+        return _surd(*_quotient(o.numerator, 0, o.denominator, self))
 
     def __pow__(self, exponent: int) -> "Surd":
         if not isinstance(exponent, int):
             return NotImplemented
         bp, bq, bd = self.p, self.q, self.d
-        if exponent < 0:  # the base is d / (p + q sqrt5) = d (p - q sqrt5) / (p^2 - 5 q^2), as a triple
-            bp, bq, bd = bd * bp, -bd * bq, bp * bp - 5 * bq * bq
-            if bd == 0:
-                raise ZeroDivisionError("surd division by zero")
+        if exponent < 0:  # the base is 1 / self, as a triple
+            bp, bq, bd = _quotient(1, 0, 1, self)
         # left to right over the bits of |exponent| on integer triples, so one Surd is built, at the
         # end: a squaring is (p^2 + 5q^2, 2pq, d^2), only a 1 bit multiplies by the base, which is
         # usually small, and each step then takes one gcd
@@ -280,12 +295,28 @@ def beatty_floors(start: int, stop: int) -> list[int]:
 # -- Fibonacci and Lucas numbers ----------------------------------------------
 
 
-def _fib_lucas(n: int) -> tuple[int, int]:
-    """(F(n), L(n)) by doubling over the bits of n, from the top.
+# The index from which F(n) and L(n), and the product F(j) L(j) for F(2j), come from the system's
+# GMP (`_gmp`) where it loads: below it the calls into the library and the conversions cost more
+# than CPython's own products save.  Measured crossovers, Python against GMP with its conversions,
+# lie between 3,000 and 6,000 depending on the host (table in CHANGES.md); at 10^5 GMP is 7-9x faster.
+_GMP_FROM = 4096
 
+
+def _fib_lucas(n: int) -> tuple[int, int]:
+    """(F(n), L(n)): from GMP's F(n), F(n-1) and L(n) = F(n) + 2 F(n-1) from `_GMP_FROM` on, else by doubling.
+
+    The doubling runs over the bits of n, from the top:
     k -> 2k:   F(2k) = F(k) L(k),  L(2k) = L(k)^2 - 2(-1)^k;
     k -> k+1:  F(k+1) = (F(k) + L(k))/2,  L(k+1) = (5 F(k) + L(k))/2.
+    It also serves where libgmp does not load and past C's unsigned long.
     """
+    if n >= _GMP_FROM:
+        from . import _gmp  # loads ctypes, so only here
+
+        pair = _gmp.fib2(n)
+        if pair is not None:
+            fn, fn1 = pair
+            return fn, fn + 2 * fn1
     fk, lk, k_odd = 0, 2, False
     for bit in bin(n)[2:]:
         fk, lk = fk * lk, lk * lk + (2 if k_odd else -2)
@@ -323,16 +354,23 @@ def fib(n: int) -> int:
       - |n - j| <= 1: one linear step, F(j+1) = (L + F)/2, L(j+1) = (5F + L)/2,
         F(j-1) = (L - F)/2, L(j-1) = (5F - L)/2; the memo becomes pair(n);
       - `fib` only, n = 2j: one product, F(2j) = F(j) L(j); the memo is kept.
-    Any other n is built by doubling over its bits, and pair(n) becomes the
-    memo.  A lone cold call pays for the whole pair, one squaring more than
-    F(n) alone needs.  The memo is one tuple, read whole and replaced by one
-    assignment, so threads share it without a lock: a pair another thread
-    left costs time, never a wrong answer.
+    Any other n is built by `_fib_lucas`, and pair(n) becomes the memo.  From
+    index `_GMP_FROM` on, the pair and the product come from the system's GMP
+    where it loads, as the same ints.  Below it a lone cold call pays for the
+    whole pair, one squaring more than F(n) alone needs.  The memo is one
+    tuple, read whole and replaced by one assignment, so threads share it
+    without a lock: a pair another thread left costs time, never a wrong answer.
     """
     if n < 0:
         raise ValueError("fib index must be >= 0")
     j, fj, lj = _memo
     if n == 2 * j and j > 1:  # j <= 1 leaves n within the first rule's reach
+        if j >= _GMP_FROM:
+            from . import _gmp
+
+            product = _gmp.mul(fj, lj)
+            if product is not None:
+                return product
         return fj * lj
     return _pair(n)[0]
 

@@ -1,3 +1,5 @@
+import ctypes.util
+import functools
 import math
 import random
 import sys
@@ -5,10 +7,10 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibword import goldenexact
+from fibword import _gmp, goldenexact
 from fibword.goldenexact import (
     INV_PHI,
     INV_PHI_SQUARED,
@@ -457,6 +459,112 @@ def test_beatty_floor_matches_surd_floor():
         assert beatty_phi2(n) == ((PHI + 1) * n).floor()
 
 
+# -- Fibonacci and Lucas numbers, through GMP and without it ------------------------------------
+
+
+def _pure_path(mp: pytest.MonkeyPatch) -> None:
+    """As where libgmp does not load: fib and lucas double and multiply in Python at every index."""
+    mp.setattr(_gmp, "_lib", False)
+
+
+def _gmp_at_every_index(mp: pytest.MonkeyPatch) -> None:
+    """Every pair and every product rule through GMP, from index 0 on."""
+    mp.setattr(goldenexact, "_GMP_FROM", 0)
+
+
+def _on_both_paths(test):
+    """Run `test` through GMP at every index (where libgmp loads), then on the pure path.
+
+    Each run starts from an empty memo and gets its own monkeypatch, so the
+    test keeps its one id and what one run patches never reaches the other.
+    """
+
+    @functools.wraps(test)
+    def both(*args, **kwargs):
+        for path in (_gmp_at_every_index, _pure_path) if _gmp.available() else (_pure_path,):
+            with pytest.MonkeyPatch.context() as mp:
+                path(mp)
+                mp.setattr(goldenexact, "_memo", (0, 0, 2))
+                if "monkeypatch" in kwargs:
+                    kwargs["monkeypatch"] = mp
+                test(*args, **kwargs)
+
+    return both
+
+
+def _gmp_calls(monkeypatch) -> list:
+    """The indices of `_gmp.fib2` calls and ("mul", j) for `_gmp.mul` calls from here on."""
+    calls = []
+    fib2, mul = _gmp.fib2, _gmp.mul
+    monkeypatch.setattr(_gmp, "fib2", lambda n: calls.append(n) or fib2(n))
+    monkeypatch.setattr(_gmp, "mul", lambda a, b: calls.append(("mul", goldenexact._memo[0])) or mul(a, b))
+    return calls
+
+
+def _around(n: int) -> tuple[int, ...]:
+    """What one exact-kernel fib item asks for, from an empty memo: a doubling, linear steps, a product."""
+    goldenexact._memo = (0, 0, 2)
+    return fib(n - 1), fib(n), fib(n + 1), lucas(n), fib(2 * n)
+
+
+@pytest.mark.skipif(not _gmp.available(), reason="libgmp does not load")
+def test_gmp_path_matches_pure_path_from_4000_to_4200(monkeypatch):
+    monkeypatch.setattr(goldenexact, "_memo", (0, 0, 2))
+    calls = _gmp_calls(monkeypatch)
+    through_gmp = [_around(n) for n in range(4000, 4201)]
+    # GMP serves exactly the pairs and the products from _GMP_FROM on
+    threshold = goldenexact._GMP_FROM
+    assert 4000 < threshold <= 4200
+    pairs = [n - 1 for n in range(4000, 4201) if n - 1 >= threshold]
+    products = [("mul", n) for n in range(4000, 4201) if n >= threshold]
+    assert sorted(calls, key=str) == sorted(pairs + products, key=str)
+    _pure_path(monkeypatch)
+    assert [_around(n) for n in range(4000, 4201)] == through_gmp
+    assert through_gmp[0][:4] == (_TABLE_F[3999], _TABLE_F[4000], _TABLE_F[4001], _TABLE_L[4000])
+
+
+@pytest.mark.skipif(not _gmp.available(), reason="libgmp does not load")
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6))
+def test_gmp_pair_and_product_match_pure_python(n):
+    fn, fn1 = _gmp.fib2(n)
+    with pytest.MonkeyPatch.context() as mp:
+        _pure_path(mp)
+        f, luc = goldenexact._fib_lucas(n)
+    assert (fn, fn + 2 * fn1) == (f, luc)
+    assert _gmp.mul(f, luc) == f * luc
+    with pytest.MonkeyPatch.context() as mp:  # F(2n) by fib's product rule, through GMP from _GMP_FROM on
+        mp.setattr(goldenexact, "_memo", (n, f, luc))
+        assert fib(2 * n) == f * luc
+
+
+def test_results_identical_where_libgmp_does_not_load(monkeypatch):
+    spots = (4095, 4096, 4097, 8192, 12345, 10**5)
+    expected = [_around(n) for n in spots]
+    monkeypatch.setattr(_gmp, "SONAME", "libfibword-absent.so.0")
+    monkeypatch.setattr(_gmp, "_lib", None)
+
+    def find_library(name):  # spawns subprocesses: the binding must never ask it
+        raise AssertionError(f"find_library({name!r}) called")
+
+    monkeypatch.setattr(ctypes.util, "find_library", find_library)
+    assert [_around(n) for n in spots] == expected
+    assert _gmp._lib is False and not _gmp.available()
+    assert _gmp.fib2(10) is None and _gmp.mul(2, 3) is None
+    assert fib(10**5 + 1) == expected[-1][2]
+
+
+def test_gmp_binding_edges():
+    if not _gmp.available():
+        assert _gmp.fib2(5000) is None and _gmp.mul(3, 4) is None
+        return
+    assert [_gmp.fib2(n) for n in range(5)] == [(0, 1), (1, 0), (1, 1), (2, 1), (3, 2)]
+    assert _gmp.fib2(_gmp.ULONG_MAX + 1) is None and _gmp.fib2(-1) is None  # outside C's unsigned long
+    for a, b in ((0, 0), (0, 7), (1, 1), (2**64 - 1, 2**64 + 1), (2**64, 2**63), (3**5000, 7**9000)):
+        assert _gmp.mul(a, b) == a * b == _gmp.mul(b, a)
+
+
+@_on_both_paths
 def test_fib_lucas_examples():
     assert fib(0) == 0
     assert fib(6) == 8
@@ -470,12 +578,14 @@ def test_fib_lucas_examples():
         lucas(-1)
 
 
+@_on_both_paths
 def test_fib_lucas_recurrences():
     for n in range(2, 201):
         assert fib(n) == fib(n - 1) + fib(n - 2)
         assert lucas(n) == lucas(n - 1) + lucas(n - 2)
 
 
+@_on_both_paths
 def test_binet_exact():
     for n in range(201):
         phi_n, bar_n = PHI**n, PHI_BAR**n
@@ -490,6 +600,7 @@ while len(_TABLE_F) < 6002:
     _TABLE_L.append(_TABLE_L[-1] + _TABLE_L[-2])
 
 
+@_on_both_paths
 def test_fib_lucas_match_iteration_to_5000(monkeypatch):
     f, luc = _TABLE_F, _TABLE_L
     # ascending, each call is one linear step from the pair the call before built
@@ -505,6 +616,7 @@ def test_fib_lucas_match_iteration_to_5000(monkeypatch):
     assert sorted(set(doubled)) == list(range(5003))
 
 
+@_on_both_paths
 def test_fib_lucas_identities_at_log_spaced_n():
     spots = sorted({round(10 ** (k / 3)) + s for k in range(19) for s in (0, 1)})
     assert spots[-1] == 10**6 + 1
@@ -516,6 +628,7 @@ def test_fib_lucas_identities_at_log_spaced_n():
         assert ln == before + after
 
 
+@_on_both_paths
 def test_fib_lucas_kernel_op_doubles_once(monkeypatch):
     n = 10**5
     cold = {k: goldenexact._fib_lucas(k) for k in (n - 1, n, n + 1, 2 * n, 2 * n + 1)}
@@ -535,6 +648,7 @@ def test_fib_lucas_kernel_op_doubles_once(monkeypatch):
 _MOVES = ("up", "down", "same", "double", "double+1", "jump")
 
 
+@_on_both_paths
 @given(st.lists(st.tuples(st.sampled_from(_MOVES), st.integers(0, 3000), st.booleans()), max_size=60))
 def test_fib_lucas_any_call_sequence_matches_recurrence(steps):
     n = min(goldenexact._memo[0], 6001)
@@ -550,6 +664,7 @@ def test_fib_lucas_any_call_sequence_matches_recurrence(steps):
         assert (lucas(n) == _TABLE_L[n]) if want_lucas else (fib(n) == _TABLE_F[n])
 
 
+@_on_both_paths
 def test_fib_lucas_exact_under_interleaving_threads():
     # Each thread walks its own stretch by neighbours and doublings, so the threads keep
     # replacing each other's memo; every answer must still be the recurrence's.
@@ -576,6 +691,7 @@ def test_fib_lucas_exact_under_interleaving_threads():
     assert sorted(done) == [1, 700, 1500, 2300] and bad == []
 
 
+@_on_both_paths
 def test_fib_lucas_reject_negative_indices():
     for n in (-1, -2, -(10**6)):
         with pytest.raises(ValueError):
@@ -816,6 +932,12 @@ def test_rendering_and_powers_build_no_temporary_surds(monkeypatch):
             calls.clear()
             power = s**exponent
             assert len(calls) == 1 and power * s**-exponent == 1
+    # a quotient is one triple, from a Surd or a rational dividend alike
+    for quotient in (lambda: PHI / INV_PHI_SQUARED, lambda: 3 / PHI):
+        calls.clear()
+        value = quotient()
+        assert len(calls) == 1
+    assert value == 3 * INV_PHI and PHI / INV_PHI_SQUARED == PHI**3
 
 
 # -- the fixed-point sqrt(5) pair and the shared Zeckendorf weights ---------------------------

@@ -65,3 +65,19 @@ def test_each_request_imports_only_what_it_uses(code, unwanted):
     loaded = _modules_loaded_after(code)
     assert "fibword" in loaded and "fibword.goldenexact" in SUBMODULES
     assert loaded & unwanted == set()
+
+
+def test_requests_below_the_gmp_index_never_load_ctypes():
+    # GMP serves fib and lucas from index 4096 on; no CLI request reaches it (telescoping-identity
+    # goes to 1024, `table --rows 200` to 203), so none loads ctypes or the binding
+    assert {"ctypes", "fibword._gmp"} & _modules_loaded_after("import fibword.goldenexact") == set()
+    requests = [
+        ["gen", "morphic", "10"],
+        ["density", "123456789", "--places", "300"],
+        ["table", "--rows", "200"],
+        ["beatty", "1000"],
+        ["claims"],
+    ]
+    code = "import fibword.cli\n" + "".join(f"assert fibword.cli.main({argv!r}) == 0\n" for argv in requests)
+    loaded = _modules_loaded_after(code)
+    assert "fibword.claims" in loaded and {"ctypes", "fibword._gmp"} & loaded == set()

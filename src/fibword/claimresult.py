@@ -7,7 +7,7 @@ below.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from collections.abc import Mapping
 
 from ._frozen import Frozen
 
@@ -24,7 +24,7 @@ class ClaimResult(Frozen):
     """
 
     def __init__(
-        self, id: str, location: str, status: str, witness: str, payload: Mapping[str, Any] | None = None
+        self, id: str, location: str, status: str, witness: str, payload: Mapping[str, object] | None = None
     ) -> None:
         if status not in (VERIFIED, REFUTED):
             raise ValueError(f"status must be {VERIFIED!r} or {REFUTED!r}")
@@ -40,6 +40,6 @@ class ClaimResult(Frozen):
     def verified(self) -> bool:
         return self.status == VERIFIED
 
-    def record(self) -> dict[str, Any]:
+    def record(self) -> dict[str, object]:
         """Plain-dict form: the fields id/location/status/witness/payload, in that order."""
         return {**self.__dict__, "payload": dict(self.payload)}

@@ -12,7 +12,6 @@ import functools
 import random
 from collections.abc import Iterable
 from fractions import Fraction
-from typing import Any
 
 from ._frozen import Frozen
 from .claimresult import REFUTED, VERIFIED, ClaimResult
@@ -37,9 +36,9 @@ from .goldenexact import (
     PHI,
     PHI_BAR,
     SQRT5,
+    _floor,
     fib,
     fraction_decimal,
-    int_surd_sign,
     lucas,
     surd_decimal,
 )
@@ -87,22 +86,22 @@ class Budgets(Frozen):
 # -- verdicts --------------------------------------------------------------------
 
 # What a check returns: (status, witness, payload).  `_claim` adds the id and location.
-Verdict = tuple[str, str, dict[str, Any]]
+Verdict = tuple[str, str, dict[str, object]]
 
 
-def verified(witness: str, **payload: Any) -> Verdict:
+def verified(witness: str, **payload: object) -> Verdict:
     return VERIFIED, witness, payload
 
 
-def refuted(witness: str, **payload: Any) -> Verdict:
+def refuted(witness: str, **payload: object) -> Verdict:
     return REFUTED, witness, payload
 
 
 # Claim id -> (name of its decorated check in this module, bounds), filled by `_claim`.
-REGISTRY: dict[str, tuple[str, tuple[Any, ...]]] = {}
+REGISTRY: dict[str, tuple[str, tuple[object, ...]]] = {}
 
 
-def _claim(claim_id: str, location: str, bounds: tuple[Any, ...] | None = None):
+def _claim(claim_id: str, location: str, bounds: tuple[object, ...] | None = None):
     """Decorator for a check of one claim: the check returns its `Verdict`, and the
     decorated function returns the `ClaimResult` under this id and location.
 
@@ -113,7 +112,7 @@ def _claim(claim_id: str, location: str, bounds: tuple[Any, ...] | None = None):
 
     def decorate(check):
         @functools.wraps(check)
-        def result(*args: Any, **kwargs: Any) -> ClaimResult:
+        def result(*args: object, **kwargs: object) -> ClaimResult:
             return ClaimResult(claim_id, location, *check(*args, **kwargs))
 
         if bounds is not None:
@@ -383,10 +382,8 @@ def _claim_density_convergence(scan_n: int) -> Verdict:
     for n, count1 in enumerate(ones_counts(scan_n), 1):
         if n < 2:
             continue
-        # |count1/n - 1/phi^2| < 1/n  <=>  |(3c - 2n) + c*sqrt5| < 3 + sqrt5
-        p = 3 * count1 - 2 * n
-        q = count1
-        if int_surd_sign(14 - (p * p + 5 * q * q), 6 - 2 * p * q) <= 0:
+        # count1 - n/phi^2 = (2 count1 - 3n + n sqrt5)/2 is irrational: below 1 in size iff its floor is -1 or 0
+        if _floor(2 * count1 - 3 * n, n, 2) not in (-1, 0):
             return refuted(f"|count1({n})/{n} - 1/phi^2| >= 1/{n}", n=n, count1=count1)
     final_density = Fraction(count1, scan_n)
     return verified(

@@ -60,19 +60,26 @@ def fib_word_ab(k: int) -> Word:
 
 
 def letter_counts_closed_form(family: str, index: int) -> tuple[int, int]:
-    """(a-count, b-count) from the Fibonacci closed forms, classical indexing."""
+    """(a-count, b-count) from the Fibonacci closed forms, classical indexing.
+
+    Every family reads the y-word counts (F(m+1), F(m)), F(m) first, so a run
+    of rows (`density_table`) walks `fib`'s memo by linear steps and builds
+    one pair.
+    """
     if family == FAMILY_Y:
         if index < 0:
             raise ValueError("y-word index must be >= 0")
-        return fib(index + 1), fib(index)
+        b = fib(index)
+        return fib(index + 1), b
     if family == FAMILY_Q:
         if index < 1:
             raise ValueError("framed-word index must be >= 1")
-        return fib(index + 1) + 1, fib(index) + 1
+        a, b = letter_counts_closed_form(FAMILY_Y, index)
+        return a + 1, b + 1
     if family == FAMILY_FIBAB:
         if index < 1:
             raise ValueError("Fibonacci word index must be >= 1")
-        return fib(index), fib(index - 1)
+        return letter_counts_closed_form(FAMILY_Y, index - 1)
     raise ValueError(f"unknown family {family!r}")
 
 

@@ -7,7 +7,7 @@ rendering are deterministic.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from ._frozen import Frozen
 from .derived import fib_word_ab

@@ -16,13 +16,13 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
-from typing import Sequence, Union
 
 from ._frozen import Frozen
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 
 # Floor of the square root, exact for arbitrary size; ValueError below zero.  The kernel's one
@@ -116,6 +116,7 @@ def _surd_operand(method):
     return coerced
 
 
+@functools.total_ordering
 class Surd(Frozen):
     """Exact element a + b*sqrt(5) of Q(sqrt 5), built as Surd(a, b) from rationals a, b.
 
@@ -223,20 +224,8 @@ class Surd(Frozen):
         return -self if self.sign() < 0 else self
 
     @_surd_operand
-    def __lt__(self, o):
+    def __lt__(self, o):  # the one order rule: total_ordering derives <=, > and >= from it and ==
         return (self - o).sign() < 0
-
-    @_surd_operand
-    def __le__(self, o):
-        return (self - o).sign() <= 0
-
-    @_surd_operand
-    def __gt__(self, o):
-        return (self - o).sign() > 0
-
-    @_surd_operand
-    def __ge__(self, o):
-        return (self - o).sign() >= 0
 
     # -- conversions ----------------------------------------------------------
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle_reference import oracle
 
 from fibword import claims, goldenexact
@@ -315,6 +317,43 @@ def test_framed_density_payload_documents_published_table(all_claims):
     y11 = next(d for d in divergent if d["m"] == 11 and d["column"] == "dens_a_y")
     assert y11["published"] == "0.618025"
     assert y11["computed"] == "0.618026"
+
+
+def _squared_form_refutes(n, count1):
+    """|count1/n - 1/phi^2| >= 1/n as |(3c - 2n) + c*sqrt5| >= 3 + sqrt5, squared, signed by the oracle."""
+    p, q = 3 * count1 - 2 * n, count1
+    return oracle.surd_sign(14 - (p * p + 5 * q * q), 6 - 2 * p * q) <= 0
+
+
+def _floor_rule_refutes(n, count1):
+    """The density-convergence rule: the floor of count1 - n/phi^2 = (2c - 3n + n*sqrt5)/2 is not -1 or 0."""
+    return goldenexact._floor(2 * count1 - 3 * n, n, 2) not in (-1, 0)
+
+
+def test_density_convergence_floor_rule_is_the_squared_form():
+    for n in range(1, 3001):
+        ones = oracle.ones_upto(n)
+        for count1 in range(ones - 2, ones + 3):
+            assert _floor_rule_refutes(n, count1) == _squared_form_refutes(n, count1), (n, count1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**30), st.integers(-2, 2))
+def test_density_convergence_floor_rule_is_the_squared_form_at_large_n(n, offset):
+    count1 = oracle.ones_upto(n) + offset
+    assert _floor_rule_refutes(n, count1) == _squared_form_refutes(n, count1)
+
+
+@pytest.mark.parametrize("offset", [-2, -1, 1, 2])
+@pytest.mark.parametrize("start", [2, 3, 40, 150])
+def test_density_convergence_refutes_where_the_squared_form_does(monkeypatch, start, offset):
+    # the counts, shifted by `offset` from n = start on: refuted at the first n the squared form rejects
+    counts = [c + offset * (n >= start) for n, c in enumerate(claims.ones_counts(200), 1)]
+    monkeypatch.setattr(claims, "ones_counts", lambda limit: counts[:limit])
+    n = next(n for n, c in enumerate(counts, 1) if n >= 2 and _squared_form_refutes(n, c))
+    result = claims._claim_density_convergence(200)
+    assert not result.verified and result.payload == {"n": n, "count1": counts[n - 1]}
+    assert result.witness == f"|count1({n})/{n} - 1/phi^2| >= 1/{n}"
 
 
 MUTANT_BUDGETS = Budgets(sweep_n=2_000, scan_n=1_000, ball_cases=50)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fibword import goldenexact
 from fibword.derived import (
     FAMILY_FIBAB,
     FAMILY_Q,
@@ -102,6 +103,16 @@ def test_density_table_first_rows():
     assert rows[1].rendered() == ("0.600000", "0.400000", "0.625000", "0.375000")
     with pytest.raises(ValueError):
         density_table(2)
+
+
+def test_density_table_walks_the_fib_memo(monkeypatch):
+    # each row reads the lower index first, so from a cold memo only the first row builds a pair
+    monkeypatch.setattr(goldenexact, "_memo", (0, 0, 2))
+    built = []
+    real = goldenexact._fib_lucas
+    monkeypatch.setattr(goldenexact, "_fib_lucas", lambda n: built.append(n) or real(n))
+    rows = density_table(300)
+    assert built == [3] and rows[-1].dens_b_y == Fraction(fib(300), fib(302))
 
 
 def test_density_rows_sum_to_one():

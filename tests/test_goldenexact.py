@@ -1,6 +1,7 @@
 import ctypes.util
 import functools
 import math
+import operator
 import random
 import sys
 import threading
@@ -170,8 +171,35 @@ def test_surd_operand_coercion():
     for bad in (0.5, "1", None):
         with pytest.raises(TypeError):
             PHI + bad
-        with pytest.raises(TypeError):
-            PHI < bad
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):  # on either side
+            with pytest.raises(TypeError):
+                compare(PHI, bad)
+            with pytest.raises(TypeError):
+                compare(bad, PHI)
+
+
+def _oracle_order(x, y) -> tuple[bool, bool, bool, bool]:
+    """(x < y, x <= y, x > y, x >= y) from the oracle's sign of x - y, taken over Fraction parts."""
+    (a1, b1), (a2, b2) = ((v.a, v.b) if isinstance(v, Surd) else (Fraction(v), Fraction(0)) for v in (x, y))
+    a, b = a1 - a2, b1 - b2
+    sign = oracle.surd_sign(a.numerator * b.denominator, b.numerator * a.denominator)
+    return sign < 0, sign <= 0, sign > 0, sign >= 0
+
+
+def test_order_is_the_oracle_sign_of_the_difference():
+    big = PHI**2870  # about 10^600
+    top = big.floor()
+    b = 10**600 + 7
+    near_zero = [Surd(-isqrt(5 * b * b) + k, b) for k in range(-2, 3)]  # within 10^-599 of 0
+    near_zero += [-x for x in near_zero]
+    surds = [PHI, PHI * PHI, PHI + 1, -PHI, big, -big, big + Fraction(1, 10**600), big - near_zero[0]]
+    surds += near_zero + [Surd(top, 0), Surd(Fraction(2 * top + 1, 2), 0), Surd(0, 0), Surd(-1, 0)]
+    rationals = [0, 1, -1, 2, Fraction(-7, 3), top, top + 1, -top, -top - 1, Fraction(2 * top + 1, 2)]
+    operands = surds + rationals
+    for x in operands:
+        for y in operands:
+            if isinstance(x, Surd) or isinstance(y, Surd):
+                assert (x < y, x <= y, x > y, x >= y) == _oracle_order(x, y), (x, y)
 
 
 def test_surd_equals_numbers_of_the_same_value():
@@ -301,6 +329,7 @@ def test_surd_against_fraction_pair_reference():
             assert (got.a, got.b) == want.pair(), (case, a1, b1, a2, b2)
         diff = (rx - ry).sign()
         assert (x < y, x <= y, x > y, x >= y) == (diff < 0, diff <= 0, diff > 0, diff >= 0)
+        assert (y > x, y >= x, y < x, y <= x) == (diff < 0, diff <= 0, diff > 0, diff >= 0)
         assert x.sign() == rx.sign() and x.floor() == rx.floor()
 
 

@@ -41,24 +41,27 @@ def _modules_loaded_after(code: str) -> set[str]:
 @pytest.mark.parametrize(
     "code, unwanted",
     [
-        ("import fibword", SUBMODULES),
-        ("import fibword.cli", {"dataclasses", "fractions", "json", "csv", "fibword.claims"}),
+        # annotations name collections.abc and `|` unions, so no request loads typing
+        ("import fibword", SUBMODULES | {"typing"}),
+        ("import fibword.cli", {"dataclasses", "fractions", "json", "csv", "fibword.claims", "typing"}),
         (
             "import fibword.cli\nfibword.cli.main(['gen', 'morphic', '10'])",
-            {"fibword.claims", "fibword.freealg", "fractions"},
+            {"fibword.claims", "fibword.freealg", "fractions", "typing"},
         ),
         # beatty renders its rows itself: the pure-Python json encoder (indent=2) is slow
-        ("import fibword.cli\nfibword.cli.main(['beatty', '5', '--format', 'json'])", {"json", "csv"}),
-        ("import fibword.cli\nfibword.cli.main(['beatty', '5', '--format', 'csv'])", {"json", "csv"}),
+        ("import fibword.cli\nfibword.cli.main(['beatty', '5', '--format', 'json'])", {"json", "csv", "typing"}),
+        ("import fibword.cli\nfibword.cli.main(['beatty', '5', '--format', 'csv'])", {"json", "csv", "typing"}),
         # the library below the verifier builds no verdicts
         (
             "import fibword.cli\nfibword.cli.main(['density', '5'])",
-            {"fibword.claimresult", "fibword.morphism", "fibword.claims"},
+            {"fibword.claimresult", "fibword.morphism", "fibword.claims", "typing"},
         ),
         (
             "import fibword.cli\nfibword.cli.main(['gen', 'mechanical', '10'])",
-            {"fibword.claimresult", "fibword.morphism", "fibword.claims"},
+            {"fibword.claimresult", "fibword.morphism", "fibword.claims", "typing"},
         ),
+        # the verifier loads every module of the package
+        ("import fibword.cli\nfibword.cli.main(['claims', '--id', 'letter-counts'])", {"typing"}),
     ],
 )
 def test_each_request_imports_only_what_it_uses(code, unwanted):
@@ -69,12 +72,13 @@ def test_each_request_imports_only_what_it_uses(code, unwanted):
 
 def test_requests_below_the_gmp_index_never_load_ctypes():
     # GMP serves fib and lucas from index 4096 on; no CLI request reaches it (telescoping-identity
-    # goes to 1024, `table --rows 200` to 203), so none loads ctypes or the binding
+    # goes to 1024, and `table` walks the memo from index 3 by linear steps), so none loads ctypes
     assert {"ctypes", "fibword._gmp"} & _modules_loaded_after("import fibword.goldenexact") == set()
     requests = [
         ["gen", "morphic", "10"],
         ["density", "123456789", "--places", "300"],
         ["table", "--rows", "200"],
+        ["table", "--rows", "4100"],
         ["beatty", "1000"],
         ["claims"],
     ]

@@ -286,9 +286,11 @@ def beatty_floors(start: int, stop: int) -> list[int]:
 
 # The index from which F(n) and L(n), and the product F(j) L(j) for F(2j), come from the system's
 # GMP (`_gmp`) where it loads: below it the calls into the library and the conversions cost more
-# than CPython's own products save.  Measured crossovers, Python against GMP with its conversions,
-# lie between 3,000 and 6,000 depending on the host (table in CHANGES.md); at 10^5 GMP is 7-9x faster.
-_GMP_FROM = 4096
+# than CPython's own products save.  It is the measured crossover of a whole exact-kernel `fib` item,
+# the pure path against GMP at every index (table in CHANGES.md): parity near 3,400 on a quiet
+# 2-vCPU host, GMP 17% ahead at 4,096.  It must stay above 1,024, the largest index a CLI request
+# asks for, so that no request loads `ctypes`.  At 10^5 GMP is 7-9x faster.
+_GMP_FROM = 3400
 
 
 def _fib_lucas(n: int) -> tuple[int, int]:

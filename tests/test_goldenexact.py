@@ -537,19 +537,20 @@ def _around(n: int) -> tuple[int, ...]:
 
 
 @pytest.mark.skipif(not _gmp.available(), reason="libgmp does not load")
-def test_gmp_path_matches_pure_path_from_4000_to_4200(monkeypatch):
+def test_gmp_path_matches_pure_path_within_100_of_the_gmp_index(monkeypatch):
     monkeypatch.setattr(goldenexact, "_memo", (0, 0, 2))
     calls = _gmp_calls(monkeypatch)
-    through_gmp = [_around(n) for n in range(4000, 4201)]
-    # GMP serves exactly the pairs and the products from _GMP_FROM on
     threshold = goldenexact._GMP_FROM
-    assert 4000 < threshold <= 4200
-    pairs = [n - 1 for n in range(4000, 4201) if n - 1 >= threshold]
-    products = [("mul", n) for n in range(4000, 4201) if n >= threshold]
+    span = range(threshold - 100, threshold + 101)
+    through_gmp = [_around(n) for n in span]
+    # GMP serves exactly the pairs and the products from _GMP_FROM on
+    pairs = [n - 1 for n in span if n - 1 >= threshold]
+    products = [("mul", n) for n in span if n >= threshold]
     assert sorted(calls, key=str) == sorted(pairs + products, key=str)
     _pure_path(monkeypatch)
-    assert [_around(n) for n in range(4000, 4201)] == through_gmp
-    assert through_gmp[0][:4] == (_TABLE_F[3999], _TABLE_F[4000], _TABLE_F[4001], _TABLE_L[4000])
+    assert [_around(n) for n in span] == through_gmp
+    first = span[0]
+    assert through_gmp[0][:4] == (_TABLE_F[first - 1], _TABLE_F[first], _TABLE_F[first + 1], _TABLE_L[first])
 
 
 @pytest.mark.skipif(not _gmp.available(), reason="libgmp does not load")
@@ -567,10 +568,21 @@ def test_gmp_pair_and_product_match_pure_python(n):
         assert fib(2 * n) == f * luc
 
 
-def test_results_identical_where_libgmp_does_not_load(monkeypatch):
-    spots = (4095, 4096, 4097, 8192, 12345, 10**5)
+def _soname_absent(mp: pytest.MonkeyPatch) -> None:
+    mp.setattr(_gmp, "SONAME", "libfibword-absent.so.0")
+
+
+def _limbs_unreadable(mp: pytest.MonkeyPatch) -> None:
+    """libgmp loads (where installed), but its limbs are not little-endian words to this process."""
+    mp.setattr(sys, "byteorder", "big")
+
+
+@pytest.mark.parametrize("decline", [_soname_absent, _limbs_unreadable])
+def test_results_identical_where_libgmp_does_not_load(monkeypatch, decline):
+    threshold = goldenexact._GMP_FROM
+    spots = (threshold - 1, threshold, threshold + 1, 8192, 12345, 10**5)
     expected = [_around(n) for n in spots]
-    monkeypatch.setattr(_gmp, "SONAME", "libfibword-absent.so.0")
+    decline(monkeypatch)
     monkeypatch.setattr(_gmp, "_lib", None)
 
     def find_library(name):  # spawns subprocesses: the binding must never ask it
@@ -589,8 +601,15 @@ def test_gmp_binding_edges():
         return
     assert [_gmp.fib2(n) for n in range(5)] == [(0, 1), (1, 0), (1, 1), (2, 1), (3, 2)]
     assert _gmp.fib2(_gmp.ULONG_MAX + 1) is None and _gmp.fib2(-1) is None  # outside C's unsigned long
-    for a, b in ((0, 0), (0, 7), (1, 1), (2**64 - 1, 2**64 + 1), (2**64, 2**63), (3**5000, 7**9000)):
+    full = [2 ** (64 * k) - 1 for k in (1, 2, 5, 40)]  # every limb, the top one too, all ones
+    pairs = [(0, 0), (0, 7), (1, 1), (2**64 - 1, 2**64 + 1), (2**64, 2**63), (3**5000, 7**9000)]
+    pairs += [(7, 2**2559 + 3)]  # one limb by 40 limbs: mul puts the longer first, whichever order it gets
+    pairs += [(a, b) for a in full for b in full]
+    pairs += [(0, 3**5000), (0, 2**2560 - 1)]  # no call: mpn_mul takes no operand of 0 limbs
+    for a, b in pairs:
         assert _gmp.mul(a, b) == a * b == _gmp.mul(b, a)
+    for a in (full[-1], 3**5000, 2**64):  # the same object twice: each side is its own buffer of limbs
+        assert _gmp.mul(a, a) == a * a
 
 
 @_on_both_paths

@@ -7,6 +7,7 @@ from types import ModuleType
 import pytest
 
 import fibword
+from fibword import goldenexact
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SUBMODULES = {f"fibword.{path.stem}" for path in (SRC / "fibword").glob("*.py")} - {"fibword.__init__"}
@@ -71,8 +72,9 @@ def test_each_request_imports_only_what_it_uses(code, unwanted):
 
 
 def test_requests_below_the_gmp_index_never_load_ctypes():
-    # GMP serves fib and lucas from index 4096 on; no CLI request reaches it (telescoping-identity
-    # goes to 1024, and `table` walks the memo from index 3 by linear steps), so none loads ctypes
+    # GMP serves fib and lucas from index _GMP_FROM on; no CLI request reaches it (`table` walks the
+    # memo from index 3 by linear steps), so none loads ctypes
+    assert goldenexact._GMP_FROM > 1024  # the top index of telescoping-identity
     assert {"ctypes", "fibword._gmp"} & _modules_loaded_after("import fibword.goldenexact") == set()
     requests = [
         ["gen", "morphic", "10"],

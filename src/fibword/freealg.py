@@ -1,40 +1,48 @@
 """Integer combinations of words under concatenation: the ring Z<a,b>.
 
-Elements are finite formal sums of words with nonzero integer coefficients,
-kept in a canonical length-then-lexicographic term order so equality and
-rendering are deterministic.
+An element is a finitely supported map from words to Z, so it has one
+spelling: the `AlgebraElement` constructor, which every builder calls, admits
+only integer coefficients, adds those of equal words, drops the zeros and
+orders the terms by length, then text.  Equality, hashing and rendering are
+therefore those of the value.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from operator import index
 
 from ._frozen import Frozen
 from .derived import fib_word_ab
 from .words import AB, Alphabet, Word
 
 
-def _term_key(w: Word) -> tuple[int, str]:
-    return (len(w), w.text)
+def _term_key(term: tuple[Word, int]) -> tuple[int, str]:
+    return (len(term[0]), term[0].text)
 
 
 class AlgebraElement(Frozen):
-    """A formal sum of words; terms are (word, nonzero coefficient) pairs."""
+    """A formal sum of words, canonical by construction.
 
-    def __init__(self, alphabet: Alphabet, terms: tuple[tuple[Word, int], ...]) -> None:
-        self.__dict__.update(alphabet=alphabet, terms=terms)
+    `terms` is any iterable of (word, coefficient) pairs over `alphabet`.  Each
+    coefficient passes through `operator.index` (a bool becomes an int; a float
+    or Fraction raises `TypeError`), equal words add their coefficients, and
+    the stored `terms` are the (word, nonzero coefficient) pairs in
+    length-then-text order.
+    """
+
+    def __init__(self, alphabet: Alphabet, terms: Iterable[tuple[Word, int]]) -> None:
+        coefficients: dict[Word, int] = {}
+        for word, coefficient in terms:
+            if word.alphabet != alphabet:
+                raise ValueError("term word over a different alphabet")
+            coefficients[word] = coefficients.get(word, 0) + index(coefficient)
+        terms = sorted((term for term in coefficients.items() if term[1]), key=_term_key)
+        self.__dict__.update(alphabet=alphabet, terms=tuple(terms))
 
     @staticmethod
     def build(alphabet: Alphabet, coefficients: Mapping[Word, int]) -> "AlgebraElement":
-        """Canonicalize: drop zero coefficients, order by length then text."""
-        items = []
-        for word, coefficient in coefficients.items():
-            if word.alphabet != alphabet:
-                raise ValueError("term word over a different alphabet")
-            if coefficient != 0:
-                items.append((word, coefficient))
-        items.sort(key=lambda item: _term_key(item[0]))
-        return AlgebraElement(alphabet, tuple(items))
+        return AlgebraElement(alphabet, coefficients.items())
 
     @staticmethod
     def zero(alphabet: Alphabet) -> "AlgebraElement":
@@ -42,17 +50,14 @@ class AlgebraElement(Frozen):
 
     @staticmethod
     def monomial(word: Word, coefficient: int = 1) -> "AlgebraElement":
-        return AlgebraElement.build(word.alphabet, {word: coefficient})
+        return AlgebraElement(word.alphabet, ((word, coefficient),))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, word: Word) -> int:
-        for w, c in self.terms:
-            if w == word:
-                return c
-        return 0
+        return dict(self.terms).get(word, 0)
 
     def words(self) -> tuple[Word, ...]:
         return tuple(w for w, _ in self.terms)
@@ -99,34 +104,24 @@ def _require_same_alphabet(x: AlgebraElement, y: AlgebraElement) -> None:
 
 def alg_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     _require_same_alphabet(x, y)
-    coefficients = dict(x.terms)
-    for word, coefficient in y.terms:
-        coefficients[word] = coefficients.get(word, 0) + coefficient
-    return AlgebraElement.build(x.alphabet, coefficients)
+    return AlgebraElement(x.alphabet, x.terms + y.terms)
 
 
 def alg_scalar(c: int, x: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement.build(x.alphabet, {w: c * k for w, k in x.terms})
+    c = index(c)
+    return AlgebraElement(x.alphabet, ((w, c * k) for w, k in x.terms))
 
 
 def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of word concatenation; coefficients multiply."""
     _require_same_alphabet(x, y)
-    coefficients: dict[Word, int] = {}
-    for u, cu in x.terms:
-        for v, cv in y.terms:
-            w = Word(x.alphabet, u.text + v.text)
-            coefficients[w] = coefficients.get(w, 0) + cu * cv
-    return AlgebraElement.build(x.alphabet, coefficients)
+    pairs = ((Word(x.alphabet, u.text + v.text), cu * cv) for u, cu in x.terms for v, cv in y.terms)
+    return AlgebraElement(x.alphabet, pairs)
 
 
 def element_from_texts(alphabet: Alphabet, texts: Iterable[str]) -> AlgebraElement:
     """Sum of the given words, each with coefficient 1 (repeats accumulate)."""
-    coefficients: dict[Word, int] = {}
-    for text in texts:
-        w = Word(alphabet, text)
-        coefficients[w] = coefficients.get(w, 0) + 1
-    return AlgebraElement.build(alphabet, coefficients)
+    return AlgebraElement(alphabet, ((Word(alphabet, text), 1) for text in texts))
 
 
 # -- the power construction on Fibonacci words -----------------------------------

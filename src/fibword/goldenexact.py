@@ -386,15 +386,11 @@ class ZeckendorfRep(Frozen):
     def __init__(self, bits: Sequence[int]) -> None:
         bits = tuple(bits)
         self.__dict__.update(bits=bits)
-        try:
-            raw = bytes(bits)  # ints and bools, checked below by bytes operations in C
-        except (TypeError, ValueError):  # other values (1.0 is a bit; -1 and 2**70 are not)
-            raw = bytes(2 if b not in (0, 1) else b == 1 for b in bits)
-        if raw.translate(None, b"\x00\x01"):
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be 0 or 1")
-        if b"\x01\x01" in raw:
+        if any(x == 1 and y == 1 for x, y in zip(bits, bits[1:])):
             raise ValueError("adjacent 1s in Zeckendorf representation")
-        if raw[-1:] == b"\x00":
+        if bits and not bits[-1]:
             raise ValueError("trailing zero bits are not canonical")
 
 
@@ -484,10 +480,34 @@ def _round_surd(p: int, q: int, d: int, scale: int) -> int:
     return _floor(scale * p + d, scale * q, 2 * d)
 
 
+# CPython 3.10.7+ and 3.11+ refuse `str` of an int of over 4,300 digits by default.  Up to
+# _STR_BITS bits (at most 4,215 digits) one `str` call serves; a larger int is split in blocks of
+# _BLOCK digits, which this module's own code converts, never touching the process-wide limit.
+_STR_BITS = 14_000
+_BLOCK = 4_000
+
+
+def _digits_in_blocks(n: int) -> str:
+    """str(n) for n > 2^_STR_BITS: divmod by 10^(_BLOCK 2^i), recursively, to blocks of _BLOCK digits."""
+    powers = [10**_BLOCK]  # powers[i] = 10^(_BLOCK 2^i), squared until n < powers[-1]^2
+    while 2 * powers[-1].bit_length() - 2 < n.bit_length():
+        powers.append(powers[-1] * powers[-1])
+
+    def block(m: int, i: int) -> str:  # m < 10^(_BLOCK 2^i): exactly that many digits, zeros kept
+        if i == 0:
+            return str(m).zfill(_BLOCK)
+        high, low = divmod(m, powers[i - 1])
+        return block(high, i - 1) + block(low, i - 1)
+
+    return block(n, len(powers)).lstrip("0")
+
+
 def _fixed_point(value: int, places: int) -> str:
     """Render value * 10^-places with `places` digits after the point; zero takes no sign."""
     sign = "-" if value < 0 else ""
-    digits = str(abs(value)).rjust(places + 1, "0")
+    value = abs(value)
+    digits = str(value) if value.bit_length() <= _STR_BITS else _digits_in_blocks(value)
+    digits = digits.rjust(places + 1, "0")
     if places == 0:
         return sign + digits
     return f"{sign}{digits[:-places]}.{digits[-places:]}"

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -174,3 +175,104 @@ def test_alpha_identity_arbitrary_binary_words():
         text = "".join(rng.choice("01") for _ in range(rng.randint(0, 50)))
         for alpha in (1, 2, 5, 10):
             assert alpha_identity_check(alpha, binary_word(text)).verified
+
+
+# -- the canonical form: one spelling per element, whatever the input order ------
+
+A, B, AB_WORD = ab_word("a"), ab_word("b"), ab_word("ab")
+
+
+def test_zero_coefficients_are_dropped():
+    element = AlgebraElement(AB, ((AB_WORD, 0),))
+    assert element.is_zero and element.terms == ()
+    assert element == AlgebraElement.zero(AB) and element.render() == "0"
+    assert AlgebraElement(AB, [(A, 0), (B, 2)]).terms == ((B, 2),)
+    assert AlgebraElement.monomial(A, 0).is_zero
+    assert AlgebraElement.build(AB, {A: 0, B: 0}).is_zero
+
+
+def test_duplicate_words_are_summed():
+    assert AlgebraElement(AB, [(A, 1), (A, 2)]).terms == ((A, 3),)
+    assert AlgebraElement(AB, [(B, 1), (A, 2), (B, -1)]).terms == ((A, 2),)
+    assert AlgebraElement(AB, [(A, 1), (A, -1)]) == AlgebraElement.zero(AB)
+    assert element_from_texts(AB, ["ab", "a", "ab"]).render() == "a + 2·ab"
+
+
+def test_unsorted_input_is_the_built_element():
+    eps = ab_word("")
+    built = AlgebraElement.build(AB, {A: 1, B: 1, AB_WORD: -2, eps: 4})
+    for order in ([(B, 1), (A, 1), (AB_WORD, -2), (eps, 4)], [(AB_WORD, -2), (eps, 4), (B, 1), (A, 1)]):
+        element = AlgebraElement(AB, order)
+        assert element == built and element.terms == built.terms
+        assert hash(element) == hash(built)
+        assert element.render() == built.render() == "4·ε + a + b + -2·ab"
+    assert AlgebraElement(AB, iter([(B, 1), (A, 1)])) == mono("a") + mono("b")  # any iterable of pairs
+
+
+@pytest.mark.parametrize("coefficient", [1.5, 2.0, 0.0, Fraction(1, 2), Fraction(2)], ids=repr)
+def test_coefficients_must_be_integers(coefficient):
+    with pytest.raises(TypeError):
+        AlgebraElement(AB, ((A, coefficient),))
+    with pytest.raises(TypeError):
+        AlgebraElement.build(AB, {A: coefficient})
+    with pytest.raises(TypeError):
+        AlgebraElement.monomial(A, coefficient)
+    with pytest.raises(TypeError):
+        alg_scalar(coefficient, mono("ab", 2))
+    with pytest.raises(TypeError):
+        alg_scalar(coefficient, AlgebraElement.zero(AB))
+
+
+def test_non_integer_scalars_are_refused_by_the_operators():
+    x = mono("ab", 2)
+    with pytest.raises(TypeError):
+        x * 0.5
+    with pytest.raises(TypeError):
+        0.5 * x
+
+
+def test_bool_coefficient_is_stored_as_int():
+    element = AlgebraElement(AB, ((A, True),))
+    ((_, coefficient),) = element.terms
+    assert type(coefficient) is int and coefficient == 1
+    assert element == mono("a") and repr(element) == repr(mono("a"))
+    assert AlgebraElement(AB, ((A, False),)).is_zero
+
+
+def test_constructor_rejects_words_over_another_alphabet():
+    with pytest.raises(ValueError, match="term word over a different alphabet"):
+        AlgebraElement(AB, ((Word(BINARY, "0"), 1),))
+    with pytest.raises(ValueError, match="term word over a different alphabet"):
+        AlgebraElement.build(AB, {Word(BINARY, "0"): 1})
+
+
+def test_alphabet_mismatch_comes_first_for_a_zero_operand():
+    wrong = AlgebraElement.zero(BINARY)
+    for operation in (alg_add, alg_mul):
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            operation(mono("a"), wrong)
+        with pytest.raises(ValueError, match="alphabet mismatch"):
+            operation(wrong, AlgebraElement.zero(AB))
+
+
+def test_coefficient_lookup():
+    element = mono("a", 3) + mono("ab", -2)
+    assert [element.coefficient(w) for w in (A, AB_WORD, B, ab_word(""))] == [3, -2, 0, 0]
+
+
+_WORDS = st.text(alphabet="ab", max_size=3).map(ab_word)
+_PAIRS = st.lists(st.tuples(_WORDS, st.integers(min_value=-3, max_value=3)), max_size=8)
+
+
+@given(_PAIRS)
+def test_constructor_is_the_finitely_supported_map(pairs):
+    # reference: the map word -> summed coefficient, zeros dropped, read in length-then-text order
+    totals = {}
+    for word, coefficient in pairs:
+        totals[word.text] = totals.get(word.text, 0) + coefficient
+    expected = sorted((item for item in totals.items() if item[1]), key=lambda item: (len(item[0]), item[0]))
+    element = AlgebraElement(AB, pairs)
+    assert [(w.text, c) for w, c in element.terms] == expected
+    assert element == AlgebraElement(AB, reversed(pairs))
+    assert hash(element) == hash(AlgebraElement(AB, reversed(pairs)))
+    assert all(element.coefficient(ab_word(text)) == c for text, c in expected)

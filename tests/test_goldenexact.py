@@ -1182,6 +1182,53 @@ def test_zeckendorf_decode_past_the_shared_weights(monkeypatch):
     assert zeckendorf_decode(rep) == big and goldenexact._weights == (1, 2)  # decoding never grows it
 
 
+def _decimal_reference(numerator: int, denominator: int, places: int) -> str:
+    """numerator/denominator rounded half-even to `places` places by the decimal module, no signed zero."""
+    import decimal
+
+    digits = places + abs(numerator).bit_length() // 3 + 10  # a bit is under a third of a digit
+    context = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN, Emax=10**9, Emin=-(10**9))
+    quotient = context.divide(decimal.Decimal(numerator), decimal.Decimal(denominator))
+    text = f"{quotient.quantize(decimal.Decimal(1).scaleb(-places), context=context):f}"
+    return text[1:] if text.startswith("-") and not text.strip("-0.") else text
+
+
+def _phi_reference(places: int) -> str:
+    """phi to `places` places: round(phi 10^k) = floor((10^k + 1 + isqrt(5 10^2k)) / 2), as decimal digits."""
+    scale = 10**places
+    return _decimal_reference((scale + 1 + math.isqrt(5 * scale * scale)) // 2, scale, places)
+
+
+def test_renderers_work_above_the_int_str_digit_limit(monkeypatch):
+    # CPython refuses str() of an int of over 4,300 digits; the renderers convert in blocks instead
+    monkeypatch.setattr(goldenexact, "_sqrt5", goldenexact._sqrt5)  # restore the narrower pair after
+    assert fraction_decimal(Fraction(1, 7), 5000) == _decimal_reference(1, 7, 5000)
+    assert surd_decimal(PHI, 5000) == _phi_reference(5000)
+    assert fraction_decimal(Fraction(1, 7), 10**5) == _decimal_reference(1, 7, 10**5)
+    assert fraction_decimal(Fraction(-22, 7), 10**5) == _decimal_reference(-22, 7, 10**5)
+    phi = _phi_reference(10**5)
+    assert surd_decimal(PHI, 10**5) == phi
+    assert surd_decimal(-PHI, 10**5) == "-" + phi
+    huge = 10**100_000 + 12345
+    assert fraction_decimal(Fraction(huge, 3), 2) == _decimal_reference(huge, 3, 2)
+    assert fraction_decimal(huge, 0) == _decimal_reference(huge, 1, 0)
+
+
+def test_renderers_at_the_int_str_digit_limit(monkeypatch):
+    # the rendered integer, the value times 10^places, crosses 4,300 digits and the one-`str` bound
+    monkeypatch.setattr(goldenexact, "_sqrt5", goldenexact._sqrt5)
+    for places in [*range(4205, 4225), *range(4290, 4310), 8000, 8001, 16_000]:
+        assert fraction_decimal(Fraction(1, 7), places) == _decimal_reference(1, 7, places), places
+        assert fraction_decimal(Fraction(-10**places + 1, 3), places) == _decimal_reference(
+            -(10**places) + 1, 3, places
+        ), places
+        assert surd_decimal(PHI, places) == _phi_reference(places), places
+    for digits in (4214, 4215, 4216, 4299, 4300, 4301):
+        for value in (10 ** (digits - 1), 10**digits - 1, -(10**digits - 1)):
+            assert fraction_decimal(value, 0) == _decimal_reference(value, 1, 0)
+            assert fraction_decimal(Fraction(value, 10**6), 6) == _decimal_reference(value, 10**6, 6)
+
+
 @given(st.integers(min_value=0, max_value=10**1200))
 def test_zeckendorf_matches_reference(m):
     rep = zeckendorf_encode(m)

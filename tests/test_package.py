@@ -1,6 +1,10 @@
+import ast
+import io
 import os
 import subprocess
 import sys
+import tokenize
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
@@ -87,3 +91,41 @@ def test_requests_below_the_gmp_index_never_load_ctypes():
     code = "import fibword.cli\n" + "".join(f"assert fibword.cli.main({argv!r}) == 0\n" for argv in requests)
     loaded = _modules_loaded_after(code)
     assert "fibword.claims" in loaded and {"ctypes", "fibword._gmp"} & loaded == set()
+
+
+def _readme_library_example() -> str:
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def _stated_value(comment: str):
+    """(True, value) when a trailing comment is a literal or a Fraction of literals; (False, None) for prose."""
+    try:
+        tree = ast.parse(comment, mode="eval")
+    except SyntaxError:
+        return False, None
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if not names <= {"Fraction"}:
+        return False, None
+    return True, eval(compile(tree, "<comment>", "eval"), {"__builtins__": {}, "Fraction": Fraction})
+
+
+def test_readme_library_example_states_its_values():
+    # run the block statement by statement; each expression whose comment states a value must have it
+    source = _readme_library_example()
+    comments = {
+        token.start[0]: token.string.lstrip("#").strip()
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    }
+    namespace, checked = {}, []
+    for statement in ast.parse(source).body:
+        stated, value = _stated_value(comments.get(statement.end_lineno, ""))
+        if stated:
+            assert isinstance(statement, ast.Expr), ast.unparse(statement)
+            got = eval(compile(ast.Expression(statement.value), "<README>", "eval"), namespace)
+            assert got == value and type(got) is type(value), ast.unparse(statement)
+            checked.append(value)
+        else:
+            exec(compile(ast.Module([statement], []), "<README>", "exec"), namespace)
+    assert len(checked) >= 5 and "2·a" in checked  # the words, a density, a deviation, two elements

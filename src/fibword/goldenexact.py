@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _digits_in_blocks
 
 RationalLike = int | Fraction
 
@@ -238,7 +238,13 @@ class Surd(Frozen):
         return _floor(self.p, self.q, self.d)
 
     def __str__(self) -> str:
-        return f"({self.a}) + ({self.b})*sqrt5"
+        """(a) + (b)*sqrt5, a and b printed as `str` prints their Fractions, at any size."""
+        parts = []
+        for num in self.p, self.q:
+            g = math.gcd(num, self.d)
+            den = "" if g == self.d else f"/{_digits_in_blocks(self.d // g)}"
+            parts.append(f"({_digits_in_blocks(num // g)}{den})")
+        return " + ".join(parts) + "*sqrt5"
 
 
 SQRT5 = Surd(Fraction(0), Fraction(1))
@@ -480,34 +486,10 @@ def _round_surd(p: int, q: int, d: int, scale: int) -> int:
     return _floor(scale * p + d, scale * q, 2 * d)
 
 
-# CPython 3.10.7+ and 3.11+ refuse `str` of an int of over 4,300 digits by default.  Up to
-# _STR_BITS bits (at most 4,215 digits) one `str` call serves; a larger int is split in blocks of
-# _BLOCK digits, which this module's own code converts, never touching the process-wide limit.
-_STR_BITS = 14_000
-_BLOCK = 4_000
-
-
-def _digits_in_blocks(n: int) -> str:
-    """str(n) for n > 2^_STR_BITS: divmod by 10^(_BLOCK 2^i), recursively, to blocks of _BLOCK digits."""
-    powers = [10**_BLOCK]  # powers[i] = 10^(_BLOCK 2^i), squared until n < powers[-1]^2
-    while 2 * powers[-1].bit_length() - 2 < n.bit_length():
-        powers.append(powers[-1] * powers[-1])
-
-    def block(m: int, i: int) -> str:  # m < 10^(_BLOCK 2^i): exactly that many digits, zeros kept
-        if i == 0:
-            return str(m).zfill(_BLOCK)
-        high, low = divmod(m, powers[i - 1])
-        return block(high, i - 1) + block(low, i - 1)
-
-    return block(n, len(powers)).lstrip("0")
-
-
 def _fixed_point(value: int, places: int) -> str:
     """Render value * 10^-places with `places` digits after the point; zero takes no sign."""
     sign = "-" if value < 0 else ""
-    value = abs(value)
-    digits = str(value) if value.bit_length() <= _STR_BITS else _digits_in_blocks(value)
-    digits = digits.rjust(places + 1, "0")
+    digits = _digits_in_blocks(abs(value)).rjust(places + 1, "0")
     if places == 0:
         return sign + digits
     return f"{sign}{digits[:-places]}.{digits[-places:]}"

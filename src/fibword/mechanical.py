@@ -71,33 +71,36 @@ def ones_counts(limit: int) -> Iterator[int]:
 
 
 class DensityReport(Frozen):
-    """Exact symbol statistics for a length-n prefix."""
+    """Exact symbol statistics of a length-n prefix with count1 ones, derived from those two fields alone."""
 
-    def __init__(
-        self,
-        n: int,
-        count0: int,
-        count1: int,
-        density0: Fraction,
-        density1: Fraction,
-        target1: Surd,
-        deviation1: Surd,
-    ) -> None:
-        self.__dict__.update(
-            n=n,
-            count0=count0,
-            count1=count1,
-            density0=density0,
-            density1=density1,
-            target1=target1,
-            deviation1=deviation1,
-        )
+    def __init__(self, n: int, count1: int) -> None:
+        self.__dict__.update(n=n, count1=count1)
+
+    @property
+    def count0(self) -> int:
+        return self.n - self.count1
+
+    @property
+    def density0(self) -> Fraction:
+        return Fraction(self.count0, self.n)
+
+    @property
+    def density1(self) -> Fraction:
+        return Fraction(self.count1, self.n)
+
+    @property
+    def target1(self) -> Surd:
+        """n/phi^2 = n(3 - sqrt5)/2."""
+        return _surd(3 * self.n, -self.n, 2)
+
+    @property
+    def deviation1(self) -> Surd:
+        """count1 - target1 = (2 count1 - 3n + n sqrt5)/2."""
+        return _surd(2 * self.count1 - 3 * self.n, self.n, 2)
 
     def decimals(self, places: int = 6) -> dict[str, str]:
-        """Decimal renderings, round-half-even, from one scale s = 10^places and integers alone.
+        """Decimal renderings, round-half-even, from n, count1, one scale s = 10^places and integers alone.
 
-        Reads n, count0, count1 and target1; density0 = 1 - density1 and
-        deviation1 = count1 - target1, as `density_report` builds them.
           - density1 is round(count1 s / n), one divmod;
           - density0 is s - density1: where count1 s / n is a tie, so is
             count0 s / n, and both round to the even side because s is even;
@@ -108,10 +111,10 @@ class DensityReport(Frozen):
         if places < 0:
             raise ValueError("places must be >= 0")
         scale = 10**places
-        n, count1, target1 = self.n, self.count1, self.target1
+        n, count1 = self.n, self.count1
         density1 = _round_half_even(count1 * scale, n)
-        density0 = scale - density1 if places else _round_half_even(self.count0, n)
-        target = _round_surd(target1.p, target1.q, target1.d, scale)
+        density0 = scale - density1 if places else _round_half_even(n - count1, n)
+        target = _round_surd(3 * n, -n, 2, scale)
         return {
             "density0": _fixed_point(density0, places),
             "density1": _fixed_point(density1, places),
@@ -121,17 +124,7 @@ class DensityReport(Frozen):
 
 
 def density_report(n: int) -> DensityReport:
-    ones = count_ones_upto(n)
-    zeros = n - ones
-    return DensityReport(
-        n=n,
-        count0=zeros,
-        count1=ones,
-        density0=Fraction(zeros, n),
-        density1=Fraction(ones, n),
-        target1=_surd(3 * n, -n, 2),  # n/phi^2 = n(3 - sqrt5)/2
-        deviation1=_surd(2 * ones - 3 * n, n, 2),
-    )
+    return DensityReport(n, count_ones_upto(n))
 
 
 def max_discrepancy(limit: int) -> tuple[Surd, int]:

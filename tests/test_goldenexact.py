@@ -409,6 +409,21 @@ def test_surd_pickle_copy_and_frozen():
         PHI / Surd(0, 0)
 
 
+@given(st.fractions(), st.fractions())
+def test_surd_str_prints_its_parts_as_fraction_str_does(a, b):
+    assert str(Surd(a, b)) == f"({a}) + ({b})*sqrt5"
+
+
+def test_surd_str_and_repr_above_the_int_str_digit_limit():
+    # CPython refuses str() of an int of over 4,300 digits; Surd converts its integers in blocks
+    big, zeros = 10**5000, "0" * 5000
+    assert repr(Surd(big, 1)) == "Surd(p=1" + zeros + ", q=1, d=1)"
+    assert str(Surd(big, 1)) == "(1" + zeros + ") + (1)*sqrt5"
+    odd = "1" + zeros[1:] + "1"  # 10^5000 + 1, which 3 does not divide
+    assert str(Surd(Fraction(-big - 1, 3), Fraction(1, big))) == f"(-{odd}/3) + (1/1{zeros})*sqrt5"
+    assert str(Surd(0, Fraction(-big - 1, big))) == f"(0) + (-{odd}/1{zeros})*sqrt5"
+
+
 def test_surd_str_bytes():
     # recorded from the Fraction-pair Surd; payloads print these strings
     values = [

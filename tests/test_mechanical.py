@@ -16,10 +16,13 @@ from fibword.goldenexact import (
     beatty_phi,
     beatty_phi2,
     fib,
+    fraction_decimal,
+    surd_decimal,
     zeckendorf_encode,
 )
 from fibword.claims import morphic_mechanical_agree, verify_beatty_partition
 from fibword.mechanical import (
+    DensityReport,
     count_ones_upto,
     density_report,
     max_discrepancy,
@@ -101,7 +104,7 @@ def test_density_report_examples():
 
 
 def test_density_report_matches_coerced_surd_arithmetic():
-    # the fields as Surd arithmetic on coerced ints built them, and as the CLI renders them
+    # the figures as Surd arithmetic on coerced ints builds them, and as the CLI renders them
     for n in [*range(1, 300), 10**6 + 1, 2**61 - 1, 10**59 + 7, 10**60 - 1, 10**1999 + 3]:
         report = density_report(n)
         target1 = INV_PHI_SQUARED * n
@@ -171,6 +174,32 @@ def test_decimals_match_reference_for_every_small_n():
 @settings(deadline=None)
 def test_decimals_match_reference_up_to_the_cli_caps(n, places):
     assert density_report(n).decimals(places) == _decimals_reference(n, places)
+
+
+def _decimals_of_properties(report: DensityReport, places: int) -> dict[str, str]:
+    return {
+        "density0": fraction_decimal(report.density0, places),
+        "density1": fraction_decimal(report.density1, places),
+        "target1": surd_decimal(report.target1, places),
+        "deviation1": surd_decimal(report.deviation1, places),
+    }
+
+
+@pytest.mark.parametrize("places", [0, 1, 6, 400])
+@pytest.mark.parametrize("n", [1, 2, 13, 10**60 + 7])  # n = 2 at places 0 is the tie
+def test_decimals_render_the_reports_own_properties(n, places):
+    report = density_report(n)
+    assert report == DensityReport(n, count_ones_upto(n)) and list(vars(report)) == ["n", "count1"]
+    assert report.decimals(places) == _decimals_of_properties(report, places)
+
+
+@given(st.integers(min_value=1, max_value=10**80), st.integers(min_value=-(10**80), max_value=10**80))
+def test_decimals_agree_with_the_properties_of_any_two_fields(n, count1):
+    # a report of any count, true or not, renders what its properties are
+    report = DensityReport(n, count1)
+    assert report.count0 + report.count1 == n and report.deviation1 == report.count1 - report.target1
+    for places in (0, 3):
+        assert report.decimals(places) == _decimals_of_properties(report, places)
 
 
 def test_decimals_reject_negative_places():

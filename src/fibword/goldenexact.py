@@ -88,14 +88,13 @@ def int_surd_sign(p: int, q: int) -> int:
     return 1 if _floor(p, q, 1) >= 0 else -1
 
 
-def _quotient(p: int, q: int, d: int, y: Surd) -> tuple[int, int, int]:
-    """The triple of (p + q*sqrt(5))/d divided by y = (p2 + q2*sqrt(5))/d2, not in lowest terms.
+def _quotient(p: int, q: int, d: int, p2: int, q2: int, d2: int) -> tuple[int, int, int]:
+    """The triple of (p + q*sqrt(5))/d divided by (p2 + q2*sqrt(5))/d2, not in lowest terms.
 
     Above and below times the conjugate p2 - q2*sqrt(5):
     (d2 (p p2 - 5 q q2) + d2 (q p2 - p q2) sqrt(5)) / (d (p2^2 - 5 q2^2)).
-    The norm p2^2 - 5 q2^2 is zero only for y = 0, as sqrt(5) is irrational.
+    The norm p2^2 - 5 q2^2 is zero only for a zero divisor, as sqrt(5) is irrational.
     """
-    p2, q2, d2 = y.p, y.q, y.d
     norm = p2 * p2 - 5 * q2 * q2
     if norm == 0:
         raise ZeroDivisionError("surd division by zero")
@@ -103,42 +102,45 @@ def _quotient(p: int, q: int, d: int, y: Surd) -> tuple[int, int, int]:
 
 
 def _surd_operand(method):
-    """Operator decorator: an int or Fraction operand becomes a Surd, anything else NotImplemented."""
+    """Operator decorator: the other operand as the integer triple (p, q, d), d > 0, of its value.
+
+    A Surd passes its fields and an int or Fraction (numerator, 0, denominator),
+    so no operator builds a Surd for its operand; any other type is NotImplemented.
+    """
 
     @functools.wraps(method)
-    def coerced(self, other):
-        if not isinstance(other, Surd):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = _surd(other.numerator, 0, other.denominator)
-        return method(self, other)
+    def with_triple(self, other):
+        if isinstance(other, Surd):
+            return method(self, other.p, other.q, other.d)
+        if isinstance(other, (int, Fraction)):
+            return method(self, other.numerator, 0, other.denominator)
+        return NotImplemented
 
-    return coerced
+    return with_triple
 
 
 @functools.total_ordering
 class Surd(Frozen):
-    """Exact element a + b*sqrt(5) of Q(sqrt 5), built as Surd(a, b) from rationals a, b.
+    """Exact element a + b*sqrt(5) of Q(sqrt 5), built as Surd(a, b) from ints or Fractions a, b.
 
     Stored as integers (p + q*sqrt(5))/d with gcd(p, q, d) = 1 and d > 0, so
-    each value has one spelling and equality is field-wise.  A Surd equals an
-    int or Fraction of the same value, and a rational Surd hashes like it.
+    each value has one spelling and equality compares triples.  Every binary
+    operator reads its other operand as such a triple (`_surd_operand`), so a
+    Surd equals an int or Fraction of the same value, and a rational Surd
+    hashes like it.  Any other component or operand type, float, str and
+    Decimal too, is refused: a TypeError here, NotImplemented from an operator.
     """
 
     def __init__(self, a: RationalLike, b: RationalLike) -> None:
-        if isinstance(a, float) or isinstance(b, float):
+        if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
             raise TypeError("surd components must be exact (int or Fraction)")
-        if not isinstance(a, (int, Fraction)):
-            a = Fraction(a)
-        if not isinstance(b, (int, Fraction)):
-            b = Fraction(b)
         p, q, d = a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator
         g = math.gcd(d, p, q)  # d > 0
         self.__dict__.update(p=p // g, q=q // g, d=d // g)
 
     @_surd_operand
-    def __eq__(self, o):
-        return self.__dict__ == o.__dict__
+    def __eq__(self, p, q, d):
+        return self.p == p and self.q == q and self.d == d
 
     def __hash__(self) -> int:
         if self.q == 0:  # equal values hash equal: a rational hashes as its int or Fraction
@@ -162,8 +164,8 @@ class Surd(Frozen):
     # -- field operations ---------------------------------------------------
 
     @_surd_operand
-    def __add__(self, o):
-        return _surd(self.p * o.d + o.p * self.d, self.q * o.d + o.q * self.d, self.d * o.d)
+    def __add__(self, p, q, d):
+        return _surd(self.p * d + p * self.d, self.q * d + q * self.d, self.d * d)
 
     __radd__ = __add__
 
@@ -171,16 +173,16 @@ class Surd(Frozen):
         return _surd(-self.p, -self.q, self.d)
 
     @_surd_operand
-    def __sub__(self, o):
-        return _surd(self.p * o.d - o.p * self.d, self.q * o.d - o.q * self.d, self.d * o.d)
+    def __sub__(self, p, q, d):
+        return _surd(self.p * d - p * self.d, self.q * d - q * self.d, self.d * d)
 
     @_surd_operand
-    def __rsub__(self, o):
-        return o - self
+    def __rsub__(self, p, q, d):
+        return _surd(p * self.d - self.p * d, q * self.d - self.q * d, self.d * d)
 
     @_surd_operand
-    def __mul__(self, o):
-        return _surd(self.p * o.p + 5 * self.q * o.q, self.p * o.q + self.q * o.p, self.d * o.d)
+    def __mul__(self, p, q, d):
+        return _surd(self.p * p + 5 * self.q * q, self.p * q + self.q * p, self.d * d)
 
     __rmul__ = __mul__
 
@@ -188,20 +190,19 @@ class Surd(Frozen):
         return self**-1
 
     @_surd_operand
-    def __truediv__(self, o):
-        return _surd(*_quotient(self.p, self.q, self.d, o))
+    def __truediv__(self, p, q, d):
+        return _surd(*_quotient(self.p, self.q, self.d, p, q, d))
 
-    def __rtruediv__(self, o):  # o is not a Surd, or __truediv__ would have served; no Surd is built for it
-        if not isinstance(o, (int, Fraction)):
-            return NotImplemented
-        return _surd(*_quotient(o.numerator, 0, o.denominator, self))
+    @_surd_operand
+    def __rtruediv__(self, p, q, d):
+        return _surd(*_quotient(p, q, d, self.p, self.q, self.d))
 
     def __pow__(self, exponent: int) -> "Surd":
         if not isinstance(exponent, int):
             return NotImplemented
         bp, bq, bd = self.p, self.q, self.d
         if exponent < 0:  # the base is 1 / self, as a triple
-            bp, bq, bd = _quotient(1, 0, 1, self)
+            bp, bq, bd = _quotient(1, 0, 1, bp, bq, bd)
         # left to right over the bits of |exponent| on integer triples, so one Surd is built, at the
         # end: a squaring is (p^2 + 5q^2, 2pq, d^2), only a 1 bit multiplies by the base, which is
         # usually small, and each step then takes one gcd
@@ -224,8 +225,9 @@ class Surd(Frozen):
         return -self if self.sign() < 0 else self
 
     @_surd_operand
-    def __lt__(self, o):  # the one order rule: total_ordering derives <=, > and >= from it and ==
-        return (self - o).sign() < 0
+    def __lt__(self, p, q, d):  # the one order rule: total_ordering derives <=, > and >= from it and ==
+        # the sign of self - other, whose denominator self.d * d is positive, so needs no Surd and no gcd
+        return int_surd_sign(self.p * d - p * self.d, self.q * d - q * self.d) < 0
 
     # -- conversions ----------------------------------------------------------
 
@@ -496,13 +498,11 @@ def _fixed_point(value: int, places: int) -> str:
 
 
 def fraction_decimal(x: RationalLike, places: int = 6) -> str:
-    """Fixed-point decimal string, round-half-even, from an exact rational."""
+    """Fixed-point decimal string, round-half-even, from an exact rational: an int or Fraction, else TypeError."""
     if places < 0:
         raise ValueError("places must be >= 0")
-    if isinstance(x, float):
-        raise TypeError("fraction_decimal needs an exact rational (int or Fraction)")
     if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+        raise TypeError("fraction_decimal needs an exact rational (int or Fraction)")
     # round-half-even is odd-symmetric, so the signed quotient rounds as its magnitude does
     return _fixed_point(_round_half_even(x.numerator * 10**places, x.denominator), places)
 

@@ -71,9 +71,17 @@ def ones_counts(limit: int) -> Iterator[int]:
 
 
 class DensityReport(Frozen):
-    """Exact symbol statistics of a length-n prefix with count1 ones, derived from those two fields alone."""
+    """Exact symbol statistics of a length-n prefix with count1 ones, derived from those two fields alone.
+
+    A prefix has n >= 1 letters and 0 <= count1 <= n ones; the constructor
+    refuses any other pair with ValueError, as `density_report` refuses n < 1.
+    """
 
     def __init__(self, n: int, count1: int) -> None:
+        if n < 1:
+            raise ValueError("prefix length must be >= 1")
+        if not 0 <= count1 <= n:
+            raise ValueError("ones count must lie in 0..n")
         self.__dict__.update(n=n, count1=count1)
 
     @property

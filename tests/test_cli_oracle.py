@@ -1,7 +1,8 @@
 """CLI requests drawn by Hypothesis, run in-process and checked by the benchmark's fibword-free oracle.
 
 The requests stay within the caps of the benchmark's `cli-requests` workload
-(`perfbench/workloads.py`), so each one is served in milliseconds.
+(`perfbench/workloads.py`), and `claims --id` requests take `test_cli`'s small
+budgets, so each one is served in milliseconds.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fibword.cli
+from fibword.claims import ALL_CLAIM_IDS
 from oracle_reference import PATH as ORACLE_PATH
 from oracle_reference import oracle
 
@@ -25,6 +27,7 @@ BEATTY_N_MAX = 10**5
 PLACES_MAX = 1000
 TABLE_ROWS_MAX = 200
 DENSITY_DIGITS_MAX = 30
+CLAIMS_BUDGETS = ("--sweep-n", "2000", "--scan-n", "1000", "--ball-cases", "200")  # test_cli's
 
 
 def _sized(most_digits, high):
@@ -45,6 +48,7 @@ _SERVED = st.one_of(
     ),
     st.tuples(st.just("beatty"), _sized(6, BEATTY_N_MAX)),
     st.tuples(st.just("table"), st.just("--rows"), st.integers(1, TABLE_ROWS_MAX).map(str)),
+    st.sampled_from(ALL_CLAIM_IDS).map(lambda claim_id: ("claims", "--id", claim_id, *CLAIMS_BUDGETS)),
 )
 _USAGE_ERRORS = st.sampled_from(
     (
@@ -85,7 +89,7 @@ def test_cli_requests_agree_with_the_oracle():
         checked.append(argv)
 
     agrees()
-    assert len(checked) >= 200
+    assert len(checked) >= 200 and any(argv[:2] == ["claims", "--id"] and argv[2] in ALL_CLAIM_IDS for argv in checked)
 
 
 def test_the_oracle_loads_no_fibword_module():

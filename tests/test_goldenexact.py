@@ -5,6 +5,7 @@ import operator
 import random
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,20 @@ def test_rational_entry_points_reject_floats():
     assert fraction_decimal(Fraction(1, 10), 20) == "0.10000000000000000000"
 
 
+def test_rational_entry_points_take_int_and_fraction_only():
+    # a str, Decimal or other number is not read as a rational: only int and Fraction are
+    for bad in ("1/2", "0.5", Decimal(1), Decimal("0.5"), None, 1j):
+        with pytest.raises(TypeError):
+            Surd(bad, 0)
+        with pytest.raises(TypeError):
+            Surd(0, bad)
+        with pytest.raises(TypeError):
+            Surd.from_rational(bad)
+        with pytest.raises(TypeError):
+            fraction_decimal(bad)
+    assert Surd(True, Fraction(1, 2)) == Surd(1, Fraction(1, 2)) and fraction_decimal(False, 1) == "0.0"
+
+
 def test_surd_comparisons():
     assert PHI > 1
     assert PHI < PHI + 1
@@ -168,7 +183,7 @@ def test_surd_operand_coercion():
     assert 2 - PHI == PHI_BAR * PHI_BAR
     assert 1 / PHI == INV_PHI and PHI / 1 == PHI
     assert 3 * PHI == PHI * 3 == PHI + PHI + PHI and 1 + PHI == PHI + 1
-    for bad in (0.5, "1", None):
+    for bad in (0.5, "1", None, Decimal(1)):
         with pytest.raises(TypeError):
             PHI + bad
         for compare in (operator.lt, operator.le, operator.gt, operator.ge):  # on either side
@@ -324,6 +339,15 @@ def test_surd_against_fraction_pair_reference():
                 x / y
         if rx.sign() != 0:
             results += [(y / x, ry * rx.inverse())]
+        # an int and a Fraction on the left of every operator, served by the Surd's reflected one
+        for r in (a2, a2.numerator):
+            rr = _Ref(r, 0)
+            results += [(r + x, rr + rx), (r - x, rr - rx), (r * x, rr * rx)]
+            if rx.sign() != 0:
+                results.append((r / x, rr * rx.inverse()))
+            diff = (rr - rx).sign()
+            assert (r < x, r <= x, r > x, r >= x) == (diff < 0, diff <= 0, diff > 0, diff >= 0)
+            assert (r == x, r != x) == (diff == 0, diff != 0)
         for got, want in results:
             _assert_lowest_terms(got)
             assert (got.a, got.b) == want.pair(), (case, a1, b1, a2, b2)
@@ -971,6 +995,38 @@ def _rendered_surds(draw):
 @given(_rendered_surds(), st.integers(min_value=0, max_value=2000))
 def test_surd_decimal_matches_surd_arithmetic_reference(s, places):
     assert surd_decimal(s, places) == _surd_decimal_reference(s, places)
+
+
+def test_operators_read_rational_operands_without_building_surds(monkeypatch):
+    built = []
+    build, init = goldenexact._surd, Surd.__init__
+
+    def counted_surd(p, q, d):
+        built.append((p, q, d))
+        return build(p, q, d)
+
+    def counted_init(self, a, b):
+        built.append((a, b))
+        init(self, a, b)
+
+    monkeypatch.setattr(goldenexact, "_surd", counted_surd)
+    monkeypatch.setattr(Surd, "__init__", counted_init)
+    for h in (Fraction(1, 2), Fraction(-7, 3), 2, 0, Fraction(10**40 + 1, 3)):
+        # a comparison or an equality with an int or Fraction builds nothing (1 < PHI < 2)
+        above = h >= 2
+        assert (PHI < h, h <= PHI, PHI > h, h >= PHI) == (above, not above, not above, above)
+        assert (PHI == h, h == PHI, PHI != h) == (False, False, True)
+        assert built == []
+        # an arithmetic result is the one Surd built
+        wants = Surd(h, 0) - PHI, INV_PHI / 3
+        for result, want in zip((lambda: h - PHI, lambda: Fraction(1, 3) / PHI), wants):
+            built.clear()
+            value = result()
+            assert len(built) == 1 and value == want
+        built.clear()
+    # and the counters do see a Surd built by its constructor: the two built here
+    assert (PHI == 2, 2 == PHI, Surd(2, 0) == 2, Surd(Fraction(4, 2), 0) == Fraction(2)) == (False, False, True, True)
+    assert built == [(2, 0), (Fraction(2), 0)]
 
 
 def test_rendering_and_powers_build_no_temporary_surds(monkeypatch):

@@ -193,13 +193,32 @@ def test_decimals_render_the_reports_own_properties(n, places):
     assert report.decimals(places) == _decimals_of_properties(report, places)
 
 
-@given(st.integers(min_value=1, max_value=10**80), st.integers(min_value=-(10**80), max_value=10**80))
+@given(st.integers(min_value=-3, max_value=10**80), st.integers(min_value=-(10**80), max_value=10**80))
 def test_decimals_agree_with_the_properties_of_any_two_fields(n, count1):
-    # a report of any count, true or not, renders what its properties are
+    # a report of any count a prefix can hold, true or not, renders what its properties are
+    if not (n >= 1 and 0 <= count1 <= n):  # and a pair no prefix has is refused
+        with pytest.raises(ValueError):
+            DensityReport(n, count1)
+        return
     report = DensityReport(n, count1)
     assert report.count0 + report.count1 == n and report.deviation1 == report.count1 - report.target1
     for places in (0, 3):
         assert report.decimals(places) == _decimals_of_properties(report, places)
+
+
+def test_report_refuses_pairs_no_prefix_has():
+    for n in (0, -1, -(10**40)):  # the message density_report(n) gives
+        with pytest.raises(ValueError, match="prefix length must be >= 1"):
+            DensityReport(n, 0)
+        with pytest.raises(ValueError, match="prefix length must be >= 1"):
+            density_report(n)
+    for n, count1 in ((5, 9), (5, 6), (5, -1), (1, 2), (10**40, 10**40 + 1)):
+        with pytest.raises(ValueError, match="ones count must lie in 0..n"):
+            DensityReport(n, count1)
+    assert DensityReport(5, 0).decimals(3)["density1"] == "0.000"
+    assert DensityReport(5, 5).decimals(3) == {
+        "density0": "0.000", "density1": "1.000", "target1": "1.910", "deviation1": "3.090"
+    }
 
 
 def test_decimals_reject_negative_places():
